@@ -12,10 +12,12 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/estimate"
+	"repro/internal/fit"
 	"repro/internal/machine"
 	"repro/internal/measure"
 	"repro/internal/mpi"
+	"repro/internal/paper"
 	"repro/internal/sim"
 	"repro/internal/stap"
 )
@@ -83,35 +85,44 @@ func BenchmarkFig3_MachineSizeSweep(b *testing.B) {
 // --- Fig. 4: startup/transmission breakdown --------------------------
 
 func BenchmarkFig4_Breakdown(b *testing.B) {
-	e := core.New(benchCfg, core.WithLengths(4, 1024))
-	var rows []core.Fig4Row
+	const p, m = 32, 1024
+	var total float64
 	for i := 0; i < b.N; i++ {
-		rows = e.Fig4()
-	}
-	// Report the paper's §7 headline: the Paragon total-exchange bar.
-	for _, r := range rows {
-		if r.Machine == "Paragon" && r.Op == machine.OpAlltoall {
-			reportSim(b, r.Total)
+		for _, op := range paper.SixOps {
+			for _, mach := range machine.All() {
+				measure.StartupLatency(mach, op, p, benchCfg)
+				t := measure.MeasureOp(mach, op, p, m, benchCfg).Micros
+				if mach.Name() == "Paragon" && op == machine.OpAlltoall {
+					total = t
+				}
+			}
 		}
 	}
+	// Report the paper's §7 headline: the Paragon total-exchange bar.
+	reportSim(b, total)
 }
 
 // --- Fig. 5: aggregated bandwidths -----------------------------------
 
 func BenchmarkFig5_AggregatedBandwidth(b *testing.B) {
+	const p = 64
+	lengths := []int{4, 16384, 65536}
 	for _, mach := range machine.All() {
 		b.Run(mach.Name()+"/alltoall/p=64", func(b *testing.B) {
-			e := core.New(benchCfg,
-				core.WithMachines(mach), core.WithLengths(4, 16384, 65536))
-			var rows []core.Fig5Row
+			var mbs float64
 			for i := 0; i < b.N; i++ {
-				rows = e.Fig5()
-			}
-			for _, r := range rows {
-				if r.Op == machine.OpAlltoall && r.P == 64 {
-					b.ReportMetric(r.MBs, "simulated-MB/s")
+				d := estimate.BuildDataset(mach, machine.OpAlltoall, mpi.DefaultAlgorithms(mach), []int{p}, lengths, benchCfg)
+				base, _ := d.At(p, lengths[0])
+				var xs, ys []float64
+				for _, m := range lengths[1:] {
+					v, _ := d.At(p, m)
+					xs = append(xs, float64(m-lengths[0]))
+					ys = append(ys, v-base)
 				}
+				slope, _ := fit.ThroughOrigin(xs, ys)
+				mbs = paper.AggregatedMultiplier(machine.OpAlltoall, p) / slope
 			}
+			b.ReportMetric(mbs, "simulated-MB/s")
 		})
 	}
 }
@@ -119,15 +130,19 @@ func BenchmarkFig5_AggregatedBandwidth(b *testing.B) {
 // --- Table 3: the full sweep + two-stage fit --------------------------
 
 func BenchmarkTable3_FitExpressions(b *testing.B) {
+	sizes := []int{2, 4, 8, 16, 32}
 	for _, mach := range machine.All() {
 		b.Run(mach.Name(), func(b *testing.B) {
-			e := core.New(benchCfg,
-				core.WithMachines(mach), core.WithMaxNodes(32),
-				core.WithLengths(4, 4096, 65536))
 			for i := 0; i < b.N; i++ {
-				fitted := e.Table3()
-				if len(fitted[mach.Name()]) != len(machine.Ops) {
-					b.Fatal("incomplete fit")
+				for _, op := range machine.Ops {
+					lengths := []int{4, 4096, 65536}
+					if op == machine.OpBarrier {
+						lengths = []int{0}
+					}
+					d := estimate.BuildDataset(mach, op, mpi.DefaultAlgorithms(mach), sizes, lengths, benchCfg)
+					if e := fit.TwoStage(d, paper.StartupShape(op), paper.PerByteShape(mach.Name(), op)); e.String() == "" {
+						b.Fatal("empty fit")
+					}
 				}
 			}
 		})

@@ -1,132 +1,52 @@
 // Command experiments runs the entire reproduction — every figure and
 // table of the paper plus all quoted spot values — and writes
-// EXPERIMENTS.md with paper-vs-measured numbers.
+// EXPERIMENTS.md with paper-vs-measured numbers, or prints one paper
+// artifact to stdout.
 //
-// The full grid T(m, p) is measured once per (machine, operation) and
-// every artifact is derived from that cache, so the document is
-// self-consistent.
+// Every artifact reads one T(m, p) grid per run. Only the grid points
+// the requested output reads are measured, each once, in one sharded
+// sweep that the -cache directory can serve across runs, so the
+// document and the artifacts are self-consistent.
 //
 // Usage:
 //
-//	experiments                  # fast methodology (~2 min)
-//	experiments -paper           # paper-faithful k=20 × 5 reps (slow)
+//	experiments                       # write EXPERIMENTS.md (fast methodology)
+//	experiments -paper                # paper-faithful k=20 × 5 reps (slow)
 //	experiments -out /tmp/e.md
+//	experiments -artifact fig1        # startup latencies (Fig. 1)
+//	experiments -artifact table3      # refit the timing expressions
+//	experiments -artifact spot        # the paper's quoted spot values
+//	experiments -artifact all         # every figure, table and spot value
+//	experiments -artifact fig2 -csv   # CSV for external plotting
+//	experiments -artifact all -maxp 32
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
 	"time"
 
 	"repro/internal/estimate"
-	"repro/internal/fit"
 	"repro/internal/machine"
 	"repro/internal/measure"
-	"repro/internal/mpi"
 	"repro/internal/paper"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 )
 
-type grid struct {
-	cfg     measure.Config
-	backend estimate.Backend
-	data    map[string]map[machine.Op]*fit.Dataset
-}
-
-// buildGrid estimates the full T(m, p) grid for every machine and
-// operation through the sweep engine under the chosen backend: grid
-// points run sharded across all cores, and cache (when non-nil) holds
-// content-keyed results that survive across runs and self-invalidate
-// when presets, the methodology, or the backend change.
-func buildGrid(cfg measure.Config, backend estimate.Backend, cache *sweep.Cache) *grid {
-	g := &grid{cfg: cfg, backend: backend, data: map[string]map[machine.Op]*fit.Dataset{}}
-	for _, m := range machine.All() {
-		row := map[machine.Op]*fit.Dataset{}
-		for _, op := range machine.Ops {
-			spec := sweep.Spec{
-				Machines: []string{m.Name()},
-				Ops:      []machine.Op{op},
-				Config:   cfg,
-			}
-			scns, err := spec.Expand()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "  measuring %s %s (%d grid points)\n",
-				m.Name(), op, len(scns))
-			results := (&sweep.Runner{Cache: cache, Backend: backend}).Run(scns)
-			row[op] = sweep.ToDataset(results)
-		}
-		g.data[m.Name()] = row
-	}
-	return g
-}
-
-func (g *grid) at(mach string, op machine.Op, p, m int) float64 {
-	v, ok := g.data[mach][op].At(p, m)
-	if !ok {
-		// Off-grid point (e.g. the §8 example's m=512, which the §2
-		// factor-of-4 sweep skips): estimate it directly and keep it.
-		mc := machine.ByName(mach)
-		est, err := g.backend.Estimate(context.Background(), mc, op, mpi.DefaultAlgorithms(mc), p, m, g.cfg)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %s/%s p=%d m=%d: %v", mach, op, p, m, err))
-		}
-		v = est.Sample.Micros
-		g.data[mach][op].Add(p, m, v)
-	}
-	return v
-}
-
-// t0 is the paper's startup estimate: the shortest-message timing.
-func (g *grid) t0(mach string, op machine.Op, p int) float64 {
-	if op == machine.OpBarrier {
-		return g.at(mach, op, p, 0)
-	}
-	return g.at(mach, op, p, 4)
-}
-
-// slope returns s(p) in µs/byte via a through-origin fit of D(m,p).
-func (g *grid) slope(mach string, op machine.Op, p int) float64 {
-	d := g.data[mach][op]
-	base := g.t0(mach, op, p)
-	var xs, ys []float64
-	for _, m := range d.Lengths() {
-		if m <= 4 {
-			continue
-		}
-		if v, ok := d.At(p, m); ok {
-			xs = append(xs, float64(m-4))
-			ys = append(ys, v-base)
-		}
-	}
-	if len(xs) == 0 {
-		return 0
-	}
-	a, _ := fit.ThroughOrigin(xs, ys)
-	return a
-}
-
-func (g *grid) bandwidth(mach string, op machine.Op, p int) float64 {
-	s := g.slope(mach, op, p)
-	if s <= 0 {
-		return 0
-	}
-	return paper.AggregatedMultiplier(op, p) / s
-}
-
 func main() {
 	var (
 		out      = flag.String("out", "EXPERIMENTS.md", "output path")
-		paperCfg = flag.Bool("paper", false, "paper-faithful methodology (slow)")
+		paperCfg = flag.Bool("paper", false, "paper-faithful methodology (k=20, 5 reps; slow)")
 		cacheDir = flag.String("cache", "", "directory for grid CSV cache (reused across runs)")
 		backendF = flag.String("backend", "sim", "estimation backend: sim (measure the grid), calibrated (fit once, serve closed-form), or analytic (paper expressions — a self-consistency run)")
+		artifact = flag.String("artifact", "", "print one paper artifact to stdout instead of writing -out: fig1..fig5, table3, spot, or all")
+		csv      = flag.Bool("csv", false, "with -artifact fig1..fig3, emit CSV instead of tables")
+		maxP     = flag.Int("maxp", 0, "cap the machine-size sweep of the figures and the Table 3 refit (0 = paper sweep)")
 	)
 	flag.Parse()
 
@@ -160,16 +80,38 @@ func main() {
 		os.Exit(2)
 	}
 	method += fmt.Sprintf("; %s backend", backend.Name())
-	start := time.Now()
-	g := buildGrid(cfg, backend, cache)
+	g := newGrid(cfg, backend, cache, *maxP)
 
+	if *artifact != "" {
+		g.prefetch(func() { err = writeArtifact(io.Discard, g, *artifact, *csv) })
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			os.Exit(2)
+		}
+		writeArtifact(os.Stdout, g, *artifact, *csv)
+		return
+	}
+
+	start := time.Now()
+	g.prefetch(func() { writeDoc(io.Discard, g, method, 0) })
 	var b strings.Builder
-	w := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }
+	writeDoc(&b, g, method, time.Since(start))
+	if err := os.WriteFile(*out, []byte(b.String()), 0o644); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s (%d bytes) in %s\n", *out, b.Len(), time.Since(start).Round(time.Second))
+}
+
+// writeDoc renders EXPERIMENTS.md from g; built is the grid build time
+// the header reports.
+func writeDoc(out io.Writer, g *grid, method string, built time.Duration) {
+	w := func(format string, args ...any) { fmt.Fprintf(out, format+"\n", args...) }
 
 	w("# EXPERIMENTS — paper vs reproduction")
 	w("")
 	w("Generated by `go run ./cmd/experiments` (methodology: %s; grid", method)
-	w("build time %s). Machines are simulated; DESIGN.md §2 records the", time.Since(start).Round(time.Second))
+	w("build time %s). Machines are simulated; DESIGN.md §2 records the", built.Round(time.Second))
 	w("substitutions. `ratio` is always measured/paper. Absolute agreement is")
 	w("calibrated (Table 3 is the only surviving ground truth); the claims to")
 	w("check are the *shapes*: who wins, where, by roughly how much.")
@@ -182,12 +124,8 @@ func main() {
 	w("")
 	w("| machine | op | paper | refit from simulator |")
 	w("|---|---|---|---|")
-	for _, m := range machine.All() {
-		for _, op := range machine.Ops {
-			pe, _ := paper.Expression(m.Name(), op)
-			e := fit.TwoStage(g.data[m.Name()][op], paper.StartupShape(op), paper.PerByteShape(m.Name(), op))
-			w("| %s | %s | `%s` | `%s` |", m.Name(), op, pe.String(), e.String())
-		}
+	for _, r := range g.table3() {
+		w("| %s | %s | `%s` | `%s` |", r.mach, r.op, r.paper.String(), r.fitted.String())
 	}
 	w("")
 	w("Startup shapes (linear in p for gather/scatter/total exchange,")
@@ -281,7 +219,7 @@ func main() {
 		}
 		w("")
 	}
-	w("(total exchange shown; the full per-op series print via `go run ./cmd/figures -artifact fig3`)")
+	w("(total exchange shown; the full per-op series print via `go run ./cmd/experiments -artifact fig3`)")
 	w("")
 
 	// ---- Fig. 4 -------------------------------------------------------
@@ -289,16 +227,12 @@ func main() {
 	w("")
 	w("| machine | op | T0 meas | D meas | total meas | total paper | ratio |")
 	w("|---|---|---|---|---|---|---|")
-	for _, op := range paper.SixOps {
-		for _, m := range machine.All() {
-			pe, _ := paper.Expression(m.Name(), op)
-			t0 := g.t0(m.Name(), op, 32)
-			total := g.at(m.Name(), op, 32, 1024)
-			want := pe.Eval(1024, 32)
-			w("| %s | %s | %.1f | %.1f | %.1f | %.1f | %.2f |",
-				m.Name(), op, t0, total-t0, total, want, total/want)
-			ratios = append(ratios, total/want)
-		}
+	for _, r := range g.fig4() {
+		pe, _ := paper.Expression(r.mach, r.op)
+		want := pe.Eval(1024, 32)
+		w("| %s | %s | %.1f | %.1f | %.1f | %.1f | %.2f |",
+			r.mach, r.op, r.startup, r.total-r.startup, r.total, want, r.total/want)
+		ratios = append(ratios, r.total/want)
 	}
 	w("")
 	w("§7 highlights: the Paragon's total-exchange and gather startups at")
@@ -316,7 +250,7 @@ func main() {
 			row := fmt.Sprintf("| %s | %s |", m.Name(), op)
 			pe, _ := paper.Expression(m.Name(), op)
 			for _, p := range paper.Fig5Sizes {
-				meas := g.bandwidth(m.Name(), op, p)
+				meas := g.bandwidth(m.Name(), op, p, g.lengths)
 				want := paper.AggregatedBandwidthMBs(pe, op, p)
 				row += fmt.Sprintf(" %.0f | %.0f |", meas, want)
 				if want > 0 && meas > 0 {
@@ -333,20 +267,8 @@ func main() {
 	w("")
 	w("| where | check | paper | measured | ratio |")
 	w("|---|---|---|---|---|")
-	for _, sv := range paper.Reported {
-		m := machine.ByName(sv.Machine)
-		if sv.P > m.MaxNodes() {
-			continue
-		}
-		var meas float64
-		switch {
-		case sv.Unit == "MB/s":
-			meas = g.bandwidth(sv.Machine, sv.Op, sv.P)
-		case sv.M <= 0:
-			meas = g.t0(sv.Machine, sv.Op, sv.P)
-		default:
-			meas = g.at(sv.Machine, sv.Op, sv.P, sv.M)
-		}
+	for _, sv := range spotValues() {
+		meas := g.spot(sv)
 		w("| %s | %s %s p=%d | %.0f %s | %.0f | %.2f |",
 			sv.Where, sv.Machine, sv.Op, sv.P, sv.Value, sv.Unit, meas, meas/sv.Value)
 		ratios = append(ratios, meas/sv.Value)
@@ -356,40 +278,15 @@ func main() {
 	// ---- Shape claims ---------------------------------------------------
 	w("## Headline shape claims")
 	w("")
-	check := func(name string, ok bool, detail string) {
+	for _, c := range claims {
+		summary, failures := c.eval(g)
 		mark := "PASS"
-		if !ok {
+		if len(failures) > 0 {
 			mark = "FAIL"
+			summary += "; " + strings.Join(failures, "; ")
 		}
-		w("- **%s** — %s (%s)", mark, name, detail)
+		w("- **%s** — %s (%s)", mark, c.text, summary)
 	}
-	t3dB := g.t0("T3D", machine.OpBarrier, 64)
-	sp2B := g.t0("SP2", machine.OpBarrier, 64)
-	parB := g.t0("Paragon", machine.OpBarrier, 64)
-	check("T3D hardwired barrier ≈3 µs, ≥30× faster than SP2/Paragon",
-		t3dB < 6 && sp2B/t3dB >= 30 && parB/t3dB >= 30,
-		fmt.Sprintf("T3D %.1f µs vs SP2 %.0f, Paragon %.0f", t3dB, sp2B, parB))
-	shortOK := true
-	for _, op := range []machine.Op{machine.OpAlltoall, machine.OpScatter, machine.OpGather} {
-		if g.at("SP2", op, 64, 16) >= g.at("Paragon", op, 64, 16) {
-			shortOK = false
-		}
-	}
-	check("SP2 beats Paragon for short messages (alltoall, scatter, gather)", shortOK, "m=16 B, p=64")
-	longOK := true
-	for _, op := range []machine.Op{machine.OpBroadcast, machine.OpAlltoall, machine.OpScatter, machine.OpGather} {
-		if g.at("Paragon", op, 64, 65536) >= g.at("SP2", op, 64, 65536) {
-			longOK = false
-		}
-	}
-	check("Paragon beats SP2 for long messages except reduce", longOK &&
-		g.at("SP2", machine.OpReduce, 64, 65536) < g.at("Paragon", machine.OpReduce, 64, 65536),
-		"m=64 KB, p=64")
-	bwT, bwP, bwS := g.bandwidth("T3D", machine.OpAlltoall, 64),
-		g.bandwidth("Paragon", machine.OpAlltoall, 64), g.bandwidth("SP2", machine.OpAlltoall, 64)
-	check("64-node total-exchange bandwidth ordering T3D > Paragon > SP2",
-		bwT > bwP && bwP > bwS,
-		fmt.Sprintf("measured %.0f / %.0f / %.0f MB/s; paper 1745 / 879 / 818", bwT, bwP, bwS))
 	w("")
 
 	// ---- Point-to-point / Hockney ---------------------------------------
@@ -402,7 +299,7 @@ func main() {
 	w("| machine | t0 (µs) | r∞ (MB/s) | n½ (bytes) | raw link (MB/s) |")
 	w("|---|---|---|---|---|")
 	for _, m := range machine.All() {
-		h := measure.HockneyFit(m, cfg)
+		h := measure.HockneyFit(m, g.cfg)
 		w("| %s | %.1f | %.1f | %.0f | %.0f |", m.Name(),
 			h.T0Micros, h.RInfMBs, h.NHalf(), m.Params().Net.LinkBandwidthMBs)
 	}
@@ -443,10 +340,4 @@ func main() {
 	w("  a measured outlier the paper's own fits understate (their maximum is")
 	w("  ≈347 ms for the SP2 total exchange); we reproduce the fit, not the")
 	w("  outlier.")
-
-	if err := os.WriteFile(*out, []byte(b.String()), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d bytes) in %s\n", *out, b.Len(), time.Since(start).Round(time.Second))
 }

@@ -40,7 +40,8 @@
 // ring of request traces — every -trace-sample'th request plus all
 // errors, degraded answers, and requests slower than -trace-slow — is
 // served as line-JSON at GET /debug/traces. Many serve processes
-// aggregate into one fleet view with cmd/fleetstat.
+// aggregate into one fleet view behind cmd/fleetfront, whose GET
+// /metrics merges every worker's series.
 //
 // Resilience: every request runs under a deadline (-request-timeout,
 // or per request via the X-Estimate-Deadline-Ms header); a deadline

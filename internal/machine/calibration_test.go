@@ -4,8 +4,8 @@ package machine_test
 // a bounded factor of the paper's Table 3 prediction. This is the
 // guardrail for the constants in presets.go — if a change to the
 // simulator or the algorithms moves the calibration, this test names the
-// point that drifted. Tolerances are deliberately loose (the shape tests
-// in internal/core are the real acceptance criteria); documented
+// point that drifted. Tolerances are deliberately loose (the shape
+// claims of cmd/experiments are the real acceptance criteria); documented
 // deviations get explicit wider bounds.
 
 import (

@@ -161,7 +161,7 @@ func TestMergeKindMismatchFails(t *testing.T) {
 }
 
 // TestMergedSnapshotReExports: the merged view itself survives the
-// text format — what fleetstat's own GET /metrics relies on.
+// text format — what the fleet front's merged GET /metrics relies on.
 func TestMergedSnapshotReExports(t *testing.T) {
 	reg := exportRegistry()
 	merged, err := Merge(map[string]*ParsedMetrics{

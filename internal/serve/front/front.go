@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,11 +90,9 @@ type Front struct {
 	// while one runs is a 409, not a second rollout.
 	reloadMu sync.Mutex
 
-	// Trace-ID minting, same scheme as the workers': a start-time seed
-	// and an atomic counter.
-	traceOnce sync.Once
-	traceSeed uint64
-	traceN    atomic.Uint64
+	// traceIDs applies the workers' trace-ID rule at the front; every
+	// sub-request forwards the resolved ID to its worker.
+	traceIDs serve.TraceIDs
 }
 
 // New builds a Front over cfg. Worker names must be unique: they key
@@ -174,52 +171,7 @@ func (f *Front) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/reload", f.handleReload)
 	mux.HandleFunc("GET /metrics", f.handleMetrics)
 	mux.HandleFunc("GET /status", f.handleStatus)
-	return f.withTraceID(f.recoverPanics(mux))
-}
-
-// validTraceID mirrors the workers' acceptance rule: printable ASCII
-// without spaces, quotes, or backslashes, capped at 128 bytes.
-func validTraceID(id string) bool {
-	if id == "" || len(id) > 128 {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		if c <= ' ' || c > '~' || c == '"' || c == '\\' {
-			return false
-		}
-	}
-	return true
-}
-
-func (f *Front) newTraceID() string {
-	f.traceOnce.Do(func() {
-		f.traceSeed = uint64(time.Now().UnixNano()) * 0x9E3779B97F4A7C15
-		if f.traceSeed == 0 {
-			f.traceSeed = 1
-		}
-	})
-	buf := make([]byte, 0, 28)
-	buf = strconv.AppendUint(buf, f.traceSeed, 16)
-	buf = append(buf, '-')
-	buf = strconv.AppendUint(buf, f.traceN.Add(1), 16)
-	return string(buf)
-}
-
-// withTraceID resolves the request's trace ID (inbound header or
-// minted), echoes it on the response — sheds, 415s, and exhausted
-// failovers included — and normalizes the request header so every
-// sub-request forwards the same ID to its worker.
-func (f *Front) withTraceID(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(serve.TraceIDHeader)
-		if !validTraceID(id) {
-			id = f.newTraceID()
-			r.Header.Set(serve.TraceIDHeader, id)
-		}
-		w.Header().Set(serve.TraceIDHeader, id)
-		next.ServeHTTP(w, r)
-	})
+	return f.traceIDs.Middleware(f.recoverPanics(mux))
 }
 
 // recoverPanics converts a panicking handler into a 500 response, like
@@ -351,7 +303,7 @@ func (f *Front) serveEstimate(w http.ResponseWriter, r *http.Request) int {
 		}
 	}
 
-	traceID := r.Header.Get(serve.TraceIDHeader)
+	traceID := serve.TraceIDFrom(r.Context())
 	deadlineMS := r.Header.Get(deadlineHeader)
 	var wg sync.WaitGroup
 	for _, g := range groups {
@@ -420,7 +372,7 @@ func (f *Front) serveEstimate(w http.ResponseWriter, r *http.Request) int {
 			Registry: env.registry, Backend: env.backend, Provenance: env.provenance,
 			Answers: mergeAnswers(groups, n),
 		}
-		serve.WriteJSONResponse(w, &resp)
+		serve.WriteJSON(w, http.StatusOK, &resp)
 	}
 	return http.StatusOK
 }
@@ -723,7 +675,7 @@ func (f *Front) handleRegistry(w http.ResponseWriter, r *http.Request) {
 			lastErr = err
 			continue
 		}
-		req.Header.Set(serve.TraceIDHeader, r.Header.Get(serve.TraceIDHeader))
+		req.Header.Set(serve.TraceIDHeader, serve.TraceIDFrom(r.Context()))
 		resp, err := f.client.Do(req)
 		if err != nil {
 			cancel()
@@ -803,20 +755,5 @@ func (f *Front) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	if f.cfg.Scraper != nil {
 		doc.Scrapes = f.cfg.Scraper.Status()
 	}
-	writeJSON(w, http.StatusOK, doc)
-}
-
-// writeJSON matches the workers' response framing (two-space indent,
-// trailing newline) for the front's own JSON documents.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(buf.Bytes())
+	serve.WriteJSON(w, http.StatusOK, doc)
 }

@@ -30,7 +30,7 @@ var tinyCfg = measure.Config{Warmup: 1, K: 2, Reps: 1, Seed: 3}
 // tiny calibrated set with handcrafted bounds, plus the paper's
 // Table 3. Shared read-only across workers, so every worker answers
 // identically by construction — what a uniform fleet deploys.
-func testRegistry(t *testing.T, memo *estimate.SampleMemo) *estimate.Registry {
+func testRegistry(t testing.TB, memo *estimate.SampleMemo) *estimate.Registry {
 	t.Helper()
 	cal := &estimate.Calibrated{
 		Config: tinyCfg, Sizes: []int{4, 8}, Lengths: []int{16, 1024}, Memo: memo,

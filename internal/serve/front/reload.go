@@ -44,7 +44,7 @@ func (f *Front) handleReload(w http.ResponseWriter, r *http.Request) {
 	defer f.reloadMu.Unlock()
 
 	report := ReloadReport{Status: "reloaded"}
-	traceID := r.Header.Get(serve.TraceIDHeader)
+	traceID := serve.TraceIDFrom(r.Context())
 	halted := false
 	for _, ws := range f.workers {
 		row := WorkerReload{Worker: ws.w.Name, State: "reloaded"}
@@ -61,7 +61,7 @@ func (f *Front) handleReload(w http.ResponseWriter, r *http.Request) {
 		report.Status = "partial"
 		status = http.StatusInternalServerError
 	}
-	writeJSON(w, status, report)
+	serve.WriteJSON(w, status, report)
 }
 
 // reloadWorker quiesces and reloads one worker. The gate is undrained

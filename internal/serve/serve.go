@@ -190,14 +190,10 @@ type Server struct {
 	// answers even over one AnswerCache.
 	cfgOnce   sync.Once
 	cfgDigest string
-	// traceOnce/traceSeed/traceN mint per-request trace IDs: a start-time
-	// seed fixed once, then one atomic add per generated ID (no
-	// crypto/rand on the hot path). traceCount drives the every-Nth
-	// sampling policy and counts only ok requests (errors are always
-	// captured, so they never consume a sampling slot).
-	traceOnce  sync.Once
-	traceSeed  uint64
-	traceN     atomic.Uint64
+	// traceIDs assigns per-request trace IDs. traceCount drives the
+	// every-Nth sampling policy and counts only ok requests (errors are
+	// always captured, so they never consume a sampling slot).
+	traceIDs   TraceIDs
 	traceCount atomic.Uint64
 	// triples caches name binding per (machine, op, algorithm) triple:
 	// the preset constructors build a fresh machine (and algorithm
@@ -236,7 +232,7 @@ func (s *Server) Handler() http.Handler {
 	if s.Traces != nil {
 		mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	}
-	return s.withTraceID(s.recoverPanics(mux))
+	return s.traceIDs.Middleware(s.recoverPanics(mux))
 }
 
 // recoverPanics converts a panicking handler into a 500 response. The
@@ -301,7 +297,7 @@ func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Status     string   `json:"status"`
 		Default    string   `json:"default"`
 		Registries []string `json:"registries"`
@@ -757,7 +753,7 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 			Provenance: entry.Backend.Provenance(),
 			Answers:    answers,
 		}
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 	}
 	tm.mark(obs.StageEncode)
 	return st
@@ -1122,7 +1118,7 @@ func (s *Server) handleRegistry(w http.ResponseWriter, _ *http.Request) {
 		}
 		resp.Registries = append(resp.Registries, info)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // fanOut runs indices 0..n-1 across a bounded worker pool — the
@@ -1162,10 +1158,13 @@ func fanOut(workers, n int, setup func() (fn func(i int), done func())) {
 	wg.Wait()
 }
 
-// writeJSON encodes v with the fixed two-space indentation the goldens
+// WriteJSON encodes v with the fixed two-space indentation the goldens
 // pin down, through a pooled buffer (Encoder with SetIndent produces
 // byte-identical output to MarshalIndent plus the trailing newline).
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// The sharding front writes its merged answers and its own documents
+// through it too, so a response assembled from N workers is
+// byte-identical to one a single worker would have written.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	buf := getBuffer()
 	defer putBuffer(buf)
 	enc := json.NewEncoder(buf)
@@ -1181,18 +1180,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // writeError emits the JSON error envelope every non-2xx response uses.
 func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, struct {
+	WriteJSON(w, status, struct {
 		Error string `json:"error"`
 	}{err.Error()})
-}
-
-// WriteJSONResponse encodes one estimate response exactly the way the
-// worker handler does (two-space indent, trailing newline) — the
-// sharding front merges worker answers and re-encodes through this, so
-// a response assembled from N workers is byte-identical to one a single
-// worker would have written.
-func WriteJSONResponse(w http.ResponseWriter, resp *Response) {
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // WriteJSONError emits the service's JSON error envelope — shared with

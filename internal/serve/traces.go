@@ -4,6 +4,8 @@ import (
 	"context"
 	"net/http"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -33,7 +35,8 @@ func TraceIDFrom(ctx context.Context) string {
 
 // validTraceID accepts printable ASCII without spaces, quotes, or
 // backslashes, capped at maxTraceIDLen — safe to echo in a header, a
-// JSON log line, and a trace record without escaping surprises.
+// JSON log line, a trace record, and a forwarded sub-request without
+// escaping surprises.
 func validTraceID(id string) bool {
 	if id == "" || len(id) > maxTraceIDLen {
 		return false
@@ -47,37 +50,46 @@ func validTraceID(id string) bool {
 	return true
 }
 
-// newTraceID mints a process-unique id from a seeded per-server counter
-// — one atomic add, no crypto/rand on the hot path. The seed is the
-// server's start time mixed through a 64-bit multiplier, so two servers
-// started apart never collide in practice and ids stay meaningless
-// outside correlation.
-func (s *Server) newTraceID() string {
-	s.traceOnce.Do(func() {
-		s.traceSeed = uint64(time.Now().UnixNano()) * 0x9E3779B97F4A7C15
-		if s.traceSeed == 0 {
-			s.traceSeed = 1
+// TraceIDs assigns every request of one process its trace ID. A worker
+// Server and the fleet front each hold one, so both apply the same
+// echo-or-mint rule. The zero value is ready to use.
+type TraceIDs struct {
+	once sync.Once
+	seed uint64
+	n    atomic.Uint64
+}
+
+// mint returns a process-unique id from a seeded counter — one atomic
+// add, no crypto/rand on the hot path. The seed is the first mint's
+// time mixed through a 64-bit multiplier, so two processes started
+// apart never collide in practice and ids stay meaningless outside
+// correlation.
+func (t *TraceIDs) mint() string {
+	t.once.Do(func() {
+		t.seed = uint64(time.Now().UnixNano()) * 0x9E3779B97F4A7C15
+		if t.seed == 0 {
+			t.seed = 1
 		}
 	})
-	n := s.traceN.Add(1)
-	// "0123456789abcdef"-16 of the seed, a dash, then the counter: short,
-	// sortable per server, and grep-able across logs and /debug/traces.
+	// The seed in hex, a dash, then the counter: short, sortable per
+	// process, and grep-able across logs and /debug/traces.
 	buf := make([]byte, 0, 28)
-	buf = strconv.AppendUint(buf, s.traceSeed, 16)
+	buf = strconv.AppendUint(buf, t.seed, 16)
 	buf = append(buf, '-')
-	buf = strconv.AppendUint(buf, n, 16)
+	buf = strconv.AppendUint(buf, t.n.Add(1), 16)
 	return string(buf)
 }
 
-// withTraceID is the outermost middleware: resolve the request's trace
-// ID (inbound header or minted), echo it on the response, and stash it
-// in the context for logging and trace capture. It wraps the panic
+// Middleware is the outermost middleware: resolve the request's trace
+// ID (a valid inbound header, else a minted one), echo it on the
+// response, and stash it in the context, where TraceIDFrom reads it for
+// logging, trace capture, and forwarding. It wraps the panic
 // middleware, so even a 500 from a recovered panic carries the ID.
-func (s *Server) withTraceID(next http.Handler) http.Handler {
+func (t *TraceIDs) Middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(TraceIDHeader)
 		if !validTraceID(id) {
-			id = s.newTraceID()
+			id = t.mint()
 		}
 		w.Header().Set(TraceIDHeader, id)
 		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), traceIDKey{}, id)))

@@ -116,7 +116,28 @@ EOF
 # GET /debug/traces in the record — per-commit tail-latency anatomy
 # (which stage ate the time) next to the throughput numbers.
 tracebin=$(mktemp -d)
-trap 'rm -rf "$tracebin"' EXIT
+# Every server started below is recorded in pids; the EXIT trap kills
+# and reaps whatever is still running, so a failing step never leaves a
+# server holding its port for the next run.
+pids=()
+cleanup() {
+	if ((${#pids[@]})); then
+		kill "${pids[@]}" 2>/dev/null || true
+		wait "${pids[@]}" 2>/dev/null || true
+	fi
+	rm -rf "$tracebin"
+}
+trap cleanup EXIT
+# wait_ready URL polls URL for up to 5 s and fails the script if the
+# server behind it never answers.
+wait_ready() {
+	for _ in $(seq 50); do
+		curl -sf -o /dev/null "$1" 2>/dev/null && return 0
+		sleep 0.1
+	done
+	echo "bench: $1 not ready after 5s" >&2
+	return 1
+}
 go build -o "$tracebin" ./cmd/serve ./cmd/predict ./cmd/fleetfront
 
 # Front overhead: the batch788 grid through the sharding front over two
@@ -126,19 +147,16 @@ go build -o "$tracebin" ./cmd/serve ./cmd/predict ./cmd/fleetfront
 # fills don't land on either side of the comparison.
 fw0_port=18696 fw1_port=18697 front_port=18698
 "$tracebin/serve" -addr "127.0.0.1:$fw0_port" -registry paper-table3 -quiet &
-fw0_pid=$!
+pids+=($!)
 "$tracebin/serve" -addr "127.0.0.1:$fw1_port" -registry paper-table3 -quiet &
-fw1_pid=$!
+pids+=($!)
 "$tracebin/fleetfront" -addr "127.0.0.1:$front_port" -quiet -scrape-interval 0 \
 	-workers "w0=127.0.0.1:$fw0_port,w1=127.0.0.1:$fw1_port" &
-front_pid=$!
+pids+=($!)
 for url in "http://127.0.0.1:$fw0_port/v1/registry" \
 	"http://127.0.0.1:$fw1_port/v1/registry" \
 	"http://127.0.0.1:$front_port/v1/registry"; do
-	for _ in $(seq 50); do
-		curl -sf -o /dev/null "$url" 2>/dev/null && break
-		sleep 0.1
-	done
+	wait_ready "$url"
 done
 front_reps=10
 front_times=$(
@@ -169,21 +187,20 @@ EOF
 echo "bench: $front_row" >&2
 out+=$front_row
 out+=$'\n'
-kill "$front_pid" "$fw0_pid" "$fw1_pid" 2>/dev/null || true
-wait "$front_pid" "$fw0_pid" "$fw1_pid" 2>/dev/null || true
+kill "${pids[@]}" 2>/dev/null || true
+wait "${pids[@]}" 2>/dev/null || true
+pids=()
 trace_port=18695
 "$tracebin/serve" -addr "127.0.0.1:$trace_port" -registry paper-table3 \
 	-quiet -trace-sample 1 -answer-cache-size 0 &
-trace_pid=$!
-for _ in $(seq 50); do
-	curl -sf -o /dev/null "http://127.0.0.1:$trace_port/v1/registry" 2>/dev/null && break
-	sleep 0.1
-done
+pids+=($!)
+wait_ready "http://127.0.0.1:$trace_port/v1/registry"
 "$tracebin/predict" -remote "http://127.0.0.1:$trace_port" -registry paper-table3 \
 	-grid -repeat 20 -trace-id "bench-$sha" >/dev/null
 trace_out=$(curl -sf "http://127.0.0.1:$trace_port/debug/traces")
-kill "$trace_pid" 2>/dev/null || true
-wait "$trace_pid" 2>/dev/null || true
+kill "${pids[@]}" 2>/dev/null || true
+wait "${pids[@]}" 2>/dev/null || true
+pids=()
 
 record=$(
 	BENCH_SHA="$sha" BENCH_OUT="$out" BENCH_TRACES="$trace_out" python3 - <<'EOF'
