@@ -25,9 +25,10 @@
 // The endpoint negotiates its codec by Content-Type: JSON by default,
 // NDJSON (application/x-ndjson) for line-delimited streaming, and the
 // length-prefixed binary fast wire mode (application/x-estimate-wire)
-// that `predict -remote` speaks — see internal/serve/wire. Answers are
-// cached per scenario (-answer-cache-size) keyed by the entry's
-// calibration provenance, so recalibration self-invalidates.
+// that `predict -remote` speaks — see internal/serve/wire. Closed-form
+// answers are computed per request; fallback simulations are cached per
+// scenario in a bounded answer cache (-answer-cache-size). The sample
+// memo holds only the calibration grid's cells, which the grid bounds.
 //
 // Observability: GET /metrics exposes Prometheus-format counters and
 // stage-latency histograms (plus Go runtime health and a
@@ -86,7 +87,7 @@ func run() int {
 		cacheDir  = flag.String("cache", "", "sweep cache directory (persisted fits and error tables)")
 		registry  = flag.String("registry", "refit-default", "registry entry served when a request names none")
 		workers   = flag.Int("workers", 0, "per-request estimation workers (0 = all cores)")
-		answers   = flag.Int("answer-cache-size", 1<<18, "scenario answer-cache capacity (0 disables caching)")
+		answers   = flag.Int("answer-cache-size", 1<<18, "answer-cache capacity in fallback simulations (0 disables caching)")
 		wireMode  = flag.Bool("wire", true, "serve the binary and NDJSON fast wire codecs (false = JSON only)")
 		warm      = flag.Bool("warm", false, "precalibrate the default registry's triples before listening")
 		quiet     = flag.Bool("quiet", false, "suppress startup logging")
@@ -135,7 +136,7 @@ func run() int {
 	// makeRegistry builds the full serving registry from scratch —
 	// reopening the sweep cache so a reload picks up fits and error
 	// tables persisted since startup. The sample memo is shared across
-	// reloads: simulator measurements are methodology-keyed and a
+	// reloads: calibration-grid measurements are methodology-keyed and a
 	// recalibration does not invalidate them.
 	memo := estimate.NewSampleMemo()
 	makeRegistry := func() (*estimate.Registry, int, error) {
@@ -169,10 +170,12 @@ func run() int {
 	}
 
 	// The fallback simulator, optionally wrapped in the fault injector.
-	// Chaos mode is a dev tool: the wrapper's provenance carries the
-	// fault spec, so its answers never share cache entries with clean
-	// runs.
-	var fallback estimate.Backend = estimate.Sim{Memo: memo}
+	// It carries no sample memo: the bounded answer cache dedups its
+	// repeats, and an unbounded memo underneath would keep every distinct
+	// fallback scenario forever. Chaos mode is a dev tool: the wrapper's
+	// provenance carries the fault spec, so its answers never share cache
+	// entries with clean runs.
+	var fallback estimate.Backend = estimate.Sim{}
 	if *chaos != "" {
 		fb, err := estimate.ParseFaultSpec(*chaos)
 		if err != nil {
@@ -234,7 +237,7 @@ func run() int {
 
 	// SIGHUP hot-reloads the registry without dropping a request: the
 	// old registry serves until the new one is fully built, and the
-	// answer cache self-invalidates through per-entry epochs.
+	// answer cache, which holds only simulator results, stays valid.
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	defer signal.Stop(hup)

@@ -68,24 +68,6 @@ type Entry struct {
 	// for the pair at all. A nil Ranges means unbounded: every request
 	// is answered in closed form, never by fallback.
 	Ranges func(mach *machine.Machine, op machine.Op) (Range, bool)
-
-	epochOnce sync.Once
-	epoch     string
-}
-
-// Epoch is the entry's answer-identity: backend name plus provenance,
-// computed once. Everything that changes the entry's numbers — the
-// calibration grid, methodology, planner, fit family, or
-// calibrationVersion — changes the backend's provenance, so keying a
-// per-scenario answer cache on the epoch (the way sweep-cache keys
-// carry backend identity) makes recalibration self-invalidating: a
-// recalibrated backend is a new epoch, and stale answers simply stop
-// being found.
-func (e *Entry) Epoch() string {
-	e.epochOnce.Do(func() {
-		e.epoch = e.Backend.Name() + "\x00" + e.Backend.Provenance()
-	})
-	return e.epoch
 }
 
 // Covers reports whether (mach, op, p, m) lies inside the entry's
@@ -192,8 +174,9 @@ type RegistryConfig struct {
 	// Store persists calibrated fits across processes (nil refits per
 	// process). *sweep.Cache implements it.
 	Store ExpressionStore
-	// Memo dedups simulator measurements with other memo users (the
-	// service's sim fallback, a validation run).
+	// Memo dedups the calibration grid's simulator measurements with
+	// other users of the same grid cells (a validation run, a sibling
+	// calibrated entry).
 	Memo *SampleMemo
 	// Workers bounds each calibrated entry's calibration pool.
 	Workers int

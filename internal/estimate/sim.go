@@ -21,7 +21,10 @@ type Sim struct {
 	// point, and methodology) from memory instead of re-simulating.
 	// Results are unchanged; sharing one memo with a Calibrated backend
 	// also makes sim-vs-calibrated validation reuse the calibration's
-	// samples.
+	// samples. The memo never evicts, so a long-lived service's
+	// fallback simulator carries none: every distinct scenario a client
+	// sent would stay in it forever. The service bounds its repeated
+	// simulations with its answer cache instead.
 	Memo *SampleMemo
 }
 

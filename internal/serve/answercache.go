@@ -7,27 +7,27 @@ import (
 	"repro/internal/machine"
 )
 
-// AnswerCache is the service's per-scenario answer cache: repeated
-// traffic for a scenario the registry has already answered skips
-// estimation, bound lookup, and fallback simulation entirely and
-// returns the finished Answer.
+// AnswerCache is the service's cache of fallback simulations: the
+// exact simulator's result for scenarios outside the serving entry's
+// calibrated envelope. Closed-form answers never touch it — evaluating
+// a fitted expression costs about what a lookup would.
 //
-// Keys are derived the way sweep-cache keys are: the registry entry's
-// epoch (backend name + provenance, which carries the calibration
-// grid, methodology, fit family, and calibrationVersion) plus the
-// server's fallback-sim methodology digest, the machine's calibration
-// fingerprint, and the resolved scenario itself. Recalibration — a new
-// provenance — therefore self-invalidates: stale answers are simply
-// never found under the new epoch, and age out of the bounded space.
+// A key holds everything the simulation depends on: the server's
+// fallback identity (simulator name, provenance, and methodology — see
+// Server.simIdentity), the machine's calibration fingerprint, and the
+// resolved scenario. The registry entry is not part of it: the answer's
+// entry-dependent fallback_reason is rebuilt per request, so entries
+// that fall back on the same scenario share one simulation, and a
+// recalibration or hot reload leaves every cached simulation valid.
 //
 // The cache is sharded (16 ways) with single-flight misses: concurrent
-// requests for one cold key run the estimate once and share the
-// result, the same contract estimate.SampleMemo gives simulator
-// measurements. Capacity is bounded; eviction is a second-chance
-// (CLOCK-style) sweep per shard, so sustained hot keys survive churn.
+// requests for one cold key run the simulation once and share the
+// result, the same contract estimate.SampleMemo gives the calibration
+// grid. Capacity is bounded; eviction is a second-chance (CLOCK-style)
+// sweep per shard, so sustained hot keys survive churn.
 //
-// A nil *AnswerCache is valid and caches nothing (every request
-// reports "bypass").
+// A nil *AnswerCache is valid and caches nothing (every fallback
+// scenario reports "bypass").
 type AnswerCache struct {
 	shards   [acShards]acShard
 	perShard int
@@ -35,52 +35,37 @@ type AnswerCache struct {
 
 const acShards = 16
 
-// acKey identifies one cacheable answer. Every component that could
-// change the answer is in the key: the entry's epoch + config digest
-// (interned to a small id — see epochID — so the hot hit path never
-// hashes the long provenance strings), the machine's calibration
-// fingerprint (which doubles as the machine identity: it hashes the
-// full parameter set, so no separate name is needed), and the resolved
-// scenario. alg is the resolved name ("default" normalized), so the
-// alias and its eponymous variant cache separately — same behavior as
-// the serving path, which resolves before answering.
+// acKey identifies one cached simulation. alg is the resolved name
+// ("default" normalized), so the alias and its eponymous variant cache
+// separately — same behavior as the serving path, which resolves before
+// answering. The fingerprint doubles as the machine identity: it hashes
+// the full parameter set, so no separate name is needed.
 type acKey struct {
-	eid  uint64 // interned epoch, from epochID
+	sim  string // Server.simIdentity
 	fp   string // estimate.CachedFingerprint of the machine
 	op   machine.Op
 	alg  string
 	p, m int
 }
 
-// epochIDs interns epoch strings (entry provenance + server config
-// digest) to small ids, so per-scenario cache keys carry 8 bytes
-// instead of a few hundred. Identical epochs — two entries over the
-// same calibration — intern to the same id and therefore share
-// answers; a recalibrated backend is a new string, hence a new id.
-var (
-	epochIDs sync.Map // string → uint64
-	epochSeq atomic.Uint64
-)
-
-func epochID(epoch string) uint64 {
-	if v, ok := epochIDs.Load(epoch); ok {
-		return v.(uint64)
-	}
-	v, _ := epochIDs.LoadOrStore(epoch, epochSeq.Add(1))
-	return v.(uint64)
+// simResult is what an Answer takes from an estimate — for a fallback
+// scenario, the value the answer cache stores.
+type simResult struct {
+	micros  float64
+	backend string
 }
 
-// acEntry is one cached (or in-flight) answer; once gives cold keys
-// their single flight, done marks the answer as materialized (eviction
+// acEntry is one cached (or in-flight) simulation; once gives cold keys
+// their single flight, done marks the result as materialized (eviction
 // never removes an entry a goroutine is still computing into). err is
-// the computation's failure, shared by the flight's waiters; errored
-// entries are forgotten right after the flight (see Server.answerCached)
-// so retries recompute.
+// the simulation's failure, shared by the flight's waiters; errored
+// entries are forgotten right after the flight (see Server.simulate) so
+// retries recompute.
 type acEntry struct {
 	once sync.Once
 	done atomic.Bool
 	used atomic.Bool
-	ans  Answer
+	res  simResult
 	err  error
 }
 
@@ -89,7 +74,7 @@ type acShard struct {
 	m  map[acKey]*acEntry
 }
 
-// NewAnswerCache returns a cache bounded at roughly size answers
+// NewAnswerCache returns a cache bounded at roughly size simulations
 // (rounded up to the shard count), or nil — caching disabled — when
 // size ≤ 0.
 func NewAnswerCache(size int) *AnswerCache {
@@ -103,7 +88,7 @@ func NewAnswerCache(size int) *AnswerCache {
 	return c
 }
 
-// Len returns the number of cached (including in-flight) answers.
+// Len returns the number of cached (including in-flight) simulations.
 func (c *AnswerCache) Len() int {
 	if c == nil {
 		return 0
@@ -118,7 +103,7 @@ func (c *AnswerCache) Len() int {
 	return n
 }
 
-// Cap returns the configured capacity in answers (0 for nil).
+// Cap returns the configured capacity in simulations (0 for nil).
 func (c *AnswerCache) Cap() int {
 	if c == nil {
 		return 0
@@ -130,7 +115,7 @@ func (c *AnswerCache) Cap() int {
 // created reports whether this caller inserted it — the accounting
 // miss; callers that found an entry (finished or in flight) are hits.
 // Either way the caller must pass its compute fn through e.once.Do and
-// read e.ans after, which is what serializes the single flight.
+// read e.res after, which is what serializes the single flight.
 func (c *AnswerCache) get(k acKey) (e *acEntry, created bool) {
 	sh := &c.shards[c.shard(&k)]
 	sh.mu.RLock()
@@ -163,7 +148,7 @@ func (c *AnswerCache) get(k acKey) (e *acEntry, created bool) {
 
 // forget removes k's entry if it is still e — pointer-compared, so a
 // retry that already replaced the slot is left alone. Used to discard
-// errored and degraded computations after their single flight.
+// errored simulations after their single flight.
 func (c *AnswerCache) forget(k acKey, e *acEntry) {
 	sh := &c.shards[c.shard(&k)]
 	sh.mu.Lock()
@@ -173,10 +158,10 @@ func (c *AnswerCache) forget(k acKey, e *acEntry) {
 	sh.mu.Unlock()
 }
 
-// shard hashes the key's scenario coordinates (FNV-1a). The epoch id
-// is near-constant across a request stream and the fingerprint tracks
-// the few machine presets, so neither is worth hashing here — op, alg,
-// p, m spread the grid fine across 16 shards.
+// shard hashes the key's scenario coordinates (FNV-1a). The sim
+// identity is constant per server and the fingerprint tracks the few
+// machine presets, so neither is worth hashing here — op, alg, p, m
+// spread the grid fine across 16 shards.
 func (c *AnswerCache) shard(k *acKey) uint32 {
 	const prime = 16777619
 	h := uint32(2166136261)

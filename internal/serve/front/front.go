@@ -193,9 +193,6 @@ func (f *Front) recoverPanics(next http.Handler) http.Handler {
 // forwards to workers verbatim (the workers' X-Estimate-Deadline-Ms).
 const deadlineHeader = "X-Estimate-Deadline-Ms"
 
-// maxBodyBytes mirrors the workers' request-body cap.
-const maxBodyBytes = 16 << 20
-
 func (f *Front) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	f.cfg.Metrics.begin()
 	defer f.cfg.Metrics.end()
@@ -241,7 +238,7 @@ func (f *Front) serveEstimate(w http.ResponseWriter, r *http.Request) int {
 		w.Header().Set("Accept-Post", serve.AcceptPost)
 		return fail(http.StatusUnsupportedMediaType, err)
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes))
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
@@ -387,21 +384,20 @@ func mergeAnswers(groups []*group, n int) []serve.Answer {
 	return merged
 }
 
-// mergeCacheVerdict folds the workers' X-Estimate-Cache headers into
-// one: every worker hit → "hit", any miss → "miss", otherwise (some
-// worker serves uncached) "bypass".
+// mergeCacheVerdict folds the workers' X-Estimate-Cache headers with
+// serve.CacheVerdict: a worker's hit or miss counts as one lookup of
+// that result, and a worker that bypassed made none.
 func mergeCacheVerdict(groups []*group) string {
-	verdict := "hit"
+	var hits, misses int
 	for _, g := range groups {
 		switch g.cache {
-		case "miss":
-			return "miss"
 		case "hit":
-		default:
-			verdict = "bypass"
+			hits++
+		case "miss":
+			misses++
 		}
 	}
-	return verdict
+	return serve.CacheVerdict(hits, misses)
 }
 
 // encodeSub builds one owner's sub-request body in the inbound codec.
@@ -561,7 +557,7 @@ func (f *Front) attempt(ctx context.Context, g *group, ws *workerState, codec se
 		return &transportError{err}
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, serve.MaxBodyBytes))
 	if err != nil {
 		return &transportError{fmt.Errorf("reading %s response: %w", ws.w.Name, err)}
 	}
@@ -683,7 +679,7 @@ func (f *Front) handleRegistry(w http.ResponseWriter, r *http.Request) {
 			lastErr = err
 			continue
 		}
-		body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+		body, err := io.ReadAll(io.LimitReader(resp.Body, serve.MaxBodyBytes))
 		resp.Body.Close()
 		cancel()
 		if err != nil {

@@ -46,18 +46,27 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
+// The golden request bodies (FuzzEstimateRequest seeds from them too).
+const (
+	goldenFixedRequest = `[{"machine":"T3D","op":"broadcast","p":8,"m":16},
+	          {"machine":"T3D","op":"broadcast","p":4,"m":300},
+	          {"machine":"T3D","op":"broadcast","p":8,"m":65536},
+	          {"machine":"SP2","op":"alltoall","algorithm":"xor","p":4,"m":1024},
+	          {"machine":"T3D","op":"barrier","algorithm":"hardware","p":8,"m":0}]`
+	goldenPiecewiseRequest = `[{"machine":"T3D","op":"broadcast","p":8,"m":1024},
+	          {"machine":"T3D","op":"broadcast","p":32,"m":4096},
+	          {"machine":"T3D","op":"scatter","algorithm":"linear","p":32,"m":256},
+	          {"machine":"T3D","op":"broadcast","p":8,"m":3000},
+	          {"machine":"T3D","op":"scatter","p":8,"m":262144}]`
+)
+
 // TestGoldenFixedRegistry pins the handler's response bytes for a small
 // fixed registry: a calibrated answer with an exact bound, one with a
 // nearest-length bound, an out-of-range sim fallback, a variant
 // selection, and the hardware barrier.
 func TestGoldenFixedRegistry(t *testing.T) {
 	s := testServer(t)
-	body := `[{"machine":"T3D","op":"broadcast","p":8,"m":16},
-	          {"machine":"T3D","op":"broadcast","p":4,"m":300},
-	          {"machine":"T3D","op":"broadcast","p":8,"m":65536},
-	          {"machine":"SP2","op":"alltoall","algorithm":"xor","p":4,"m":1024},
-	          {"machine":"T3D","op":"barrier","algorithm":"hardware","p":8,"m":0}]`
-	rec := post(t, s, body, "")
+	rec := post(t, s, goldenFixedRequest, "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -103,12 +112,7 @@ func TestGoldenPiecewiseRegistry(t *testing.T) {
 	// Mid-length scenarios (the regime the piecewise fit exists for),
 	// one interpolated length (m=3000: bound must stay inside the
 	// serving segment), and one out-of-range fallback.
-	body := `[{"machine":"T3D","op":"broadcast","p":8,"m":1024},
-	          {"machine":"T3D","op":"broadcast","p":32,"m":4096},
-	          {"machine":"T3D","op":"scatter","algorithm":"linear","p":32,"m":256},
-	          {"machine":"T3D","op":"broadcast","p":8,"m":3000},
-	          {"machine":"T3D","op":"scatter","p":8,"m":262144}]`
-	rec := post(t, s, body, "")
+	rec := post(t, s, goldenPiecewiseRequest, "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}

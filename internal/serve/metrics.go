@@ -63,8 +63,9 @@ type reqStats struct {
 	// expired mid-simulation.
 	hadDeadline bool
 	degraded    int
-	// Answer-cache verdicts per scenario. With no cache attached every
-	// scenario is a bypass.
+	// Answer-cache verdicts per fallback scenario. With no cache
+	// attached every fallback scenario is a bypass; closed-form
+	// scenarios make no lookup and count nowhere.
 	cacheHits, cacheMisses, cacheBypass int
 }
 
@@ -103,7 +104,7 @@ type Metrics struct {
 //	serve_fallbacks_total{reason}          out_of_range | uncovered | variant_only
 //	serve_bounds_attached_total            answers carrying expected_error
 //	serve_wire_requests_total{codec}       json | ndjson | binary
-//	serve_answer_cache_total{result}       hit | miss | bypass (per scenario)
+//	serve_answer_cache_total{result}       hit | miss | bypass (per fallback scenario)
 //	serve_shed_total{reason}               queue_full | timeout (admission gate refusals)
 //	serve_deadline_total{outcome}          met | degraded | exceeded (deadline-carrying requests)
 //	serve_degraded_total                   scenarios answered degraded (closed form, deadline pressed)
@@ -144,7 +145,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 	cache := func(result string) *obs.Counter {
 		return reg.Counter("serve_answer_cache_total",
-			"scenario answer-cache lookups by result (bypass: no cache attached)",
+			"fallback-simulation answer-cache lookups by result (bypass: no cache attached)",
 			obs.Label{Key: "result", Value: result})
 	}
 	m.cacheHit, m.cacheMiss, m.cacheBypass = cache("hit"), cache("miss"), cache("bypass")

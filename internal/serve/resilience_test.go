@@ -89,13 +89,13 @@ func TestDegradedDeadlineAnswer(t *testing.T) {
 	}
 }
 
-// TestDegradedAnswerNeverCached: a degraded answer is forgotten after
-// its flight, so once the pressure is off the same scenario gets the
-// real simulated answer, not the cached stopgap.
+// TestDegradedAnswerNeverCached: a deadline that cuts the fallback
+// simulation short leaves nothing in the answer cache — the errored
+// flight is forgotten — so once the pressure is off the same scenario
+// gets the real simulated answer, not the degraded stopgap.
 func TestDegradedAnswerNeverCached(t *testing.T) {
 	s := testServer(t)
-	inner := s.Sim
-	fault := &estimate.FaultBackend{Inner: inner, Seed: 1, LatencyProb: 1, Latency: time.Minute}
+	fault := &estimate.FaultBackend{Inner: s.Sim, Seed: 1, LatencyProb: 1, Latency: time.Minute}
 	s.Sim = fault
 	s.Cache = NewAnswerCache(64)
 	rec := postH(t, s, outOfRange, map[string]string{deadlineHeader: "100"}, nil)
@@ -105,17 +105,56 @@ func TestDegradedAnswerNeverCached(t *testing.T) {
 	if a := decode(t, rec).Answers[0]; a.FallbackReason != reasonDegraded {
 		t.Fatalf("first answer %+v, want degraded", a)
 	}
-	// Pressure off: same server, healthy simulator, no deadline. The
-	// cache must not replay the degraded answer. (The epoch keys on the
-	// configured Sim, so the swap must keep the same backend identity —
-	// turning the injected latency off does.)
-	fault.LatencyProb = 0
-	rec = post(t, s, outOfRange, "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("healthy request: status %d: %s", rec.Code, rec.Body.String())
+	if got := rec.Header().Get("X-Estimate-Cache"); got != "miss" {
+		t.Fatalf("degraded request X-Estimate-Cache %q, want miss", got)
 	}
-	if a := decode(t, rec).Answers[0]; a.FallbackReason == reasonDegraded || a.Backend != estimate.BackendSim {
-		t.Fatalf("healthy answer %+v, want a real sim answer", a)
+	if n := s.Cache.Len(); n != 0 {
+		t.Fatalf("Cache.Len() = %d after a cut-short simulation, want 0", n)
+	}
+	// Pressure off: same server, healthy simulator, no deadline. (The
+	// key carries the configured Sim's provenance, so the swap must keep
+	// the same backend identity — turning the injected latency off does.)
+	fault.LatencyProb = 0
+	for _, want := range []string{"miss", "hit"} {
+		rec = post(t, s, outOfRange, "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("healthy request: status %d: %s", rec.Code, rec.Body.String())
+		}
+		if a := decode(t, rec).Answers[0]; a.FallbackReason == reasonDegraded || a.Backend != estimate.BackendSim {
+			t.Fatalf("healthy answer %+v, want a real sim answer", a)
+		}
+		if got := rec.Header().Get("X-Estimate-Cache"); got != want {
+			t.Fatalf("healthy request X-Estimate-Cache %q, want %s", got, want)
+		}
+	}
+}
+
+// TestDegradedSharedFlight: a request that joins another request's
+// fallback simulation shares its outcome. When the flight's deadline
+// cuts the simulation short, the joiner — whose own deadline is far
+// off — is answered degraded as well, at once, instead of with an
+// error or a second full-length simulation.
+func TestDegradedSharedFlight(t *testing.T) {
+	s := testServer(t)
+	slowSim(s)
+	s.Cache = NewAnswerCache(64)
+	first := make(chan *httptest.ResponseRecorder)
+	go func() { first <- postH(t, s, outOfRange, map[string]string{deadlineHeader: "300"}, nil) }()
+	for s.Cache.Len() == 0 { // the first request's flight is open
+		runtime.Gosched()
+	}
+	start := time.Now()
+	joined := postH(t, s, outOfRange, map[string]string{deadlineHeader: "10000"}, nil)
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("joining request took %s: it ran its own simulation instead of sharing the flight", elapsed)
+	}
+	for name, rec := range map[string]*httptest.ResponseRecorder{"first": <-first, "joined": joined} {
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s request: status %d: %s", name, rec.Code, rec.Body.String())
+		}
+		if a := decode(t, rec).Answers[0]; a.FallbackReason != reasonDegraded {
+			t.Fatalf("%s request: answer %+v, want degraded", name, a)
+		}
 	}
 }
 
@@ -364,7 +403,7 @@ func TestHandlerPanicMiddleware(t *testing.T) {
 }
 
 // reloadFixture builds a server whose Reloader alternates calibration
-// grids — every reload is a provenance (hence epoch) change.
+// grids — every reload is a provenance change.
 func reloadFixture(t *testing.T) (*Server, *atomic.Int64) {
 	t.Helper()
 	memo := estimate.NewSampleMemo()
@@ -388,7 +427,7 @@ func reloadFixture(t *testing.T) (*Server, *atomic.Int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Server{Registry: reg, Default: "test-cal", Sim: estimate.Sim{Memo: memo}, Config: tinyCfg,
+	s := &Server{Registry: reg, Default: "test-cal", Sim: estimate.Sim{}, Config: tinyCfg,
 		Cache: NewAnswerCache(1024),
 		Reloader: func() (*estimate.Registry, error) {
 			gen.Add(1)
@@ -399,22 +438,25 @@ func reloadFixture(t *testing.T) (*Server, *atomic.Int64) {
 }
 
 // TestReloadSwapsAndInvalidates: POST /v1/reload swaps the registry
-// atomically; the answer cache keys on entry epochs, so warm answers
-// from the old registry are never served by the new one.
+// atomically, and nothing in the answer cache needs invalidating — it
+// holds only simulator results, which the recalibration does not
+// change. A fallback warmed before the reload is a hit after it, and
+// the answer carries the new entry's envelope in its fallback_reason.
 func TestReloadSwapsAndInvalidates(t *testing.T) {
 	s, _ := reloadFixture(t)
-	const body = `{"machine":"T3D","op":"broadcast","p":8,"m":16}`
-	warm := func(stage string) {
+	fetch := func(wantCache string) (Answer, string) {
 		t.Helper()
-		if got := post(t, s, body, "").Header().Get("X-Estimate-Cache"); got != "miss" {
-			t.Fatalf("%s cold request: cache %q, want miss", stage, got)
+		rec := post(t, s, outOfRange, "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 		}
-		if got := post(t, s, body, "").Header().Get("X-Estimate-Cache"); got != "hit" {
-			t.Fatalf("%s warm request: cache %q, want hit", stage, got)
+		if got := rec.Header().Get("X-Estimate-Cache"); got != wantCache {
+			t.Fatalf("X-Estimate-Cache %q, want %s", got, wantCache)
 		}
+		return decode(t, rec).Answers[0], rec.Header().Get("X-Estimate-Provenance")
 	}
-	warm("pre-reload")
-	oldProv := post(t, s, body, "").Header().Get("X-Estimate-Provenance")
+	fetch("miss")
+	before, oldProv := fetch("hit")
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/reload", nil)
 	rec := httptest.NewRecorder()
@@ -426,11 +468,16 @@ func TestReloadSwapsAndInvalidates(t *testing.T) {
 		t.Fatalf("reload body: %s", rec.Body.String())
 	}
 
-	// Fresh epoch: the first post-reload request recomputes.
-	warm("post-reload")
-	newProv := post(t, s, body, "").Header().Get("X-Estimate-Provenance")
+	after, newProv := fetch("hit")
 	if oldProv == newProv || newProv == "" {
 		t.Fatalf("provenance did not change across reload: %q vs %q", oldProv, newProv)
+	}
+	if after.Micros != before.Micros {
+		t.Fatalf("cached simulation changed across reload: %v vs %v", before.Micros, after.Micros)
+	}
+	if !strings.Contains(before.FallbackReason, "m∈[16,1024]") || !strings.Contains(after.FallbackReason, "m∈[16,2048]") {
+		t.Fatalf("fallback_reason not rebuilt from the serving entry: before %q, after %q",
+			before.FallbackReason, after.FallbackReason)
 	}
 	vals := promValues(t, get(t, s, "/metrics").Body.String())
 	if got := vals[`serve_reloads_total{result="ok"}`]; got != 1 {

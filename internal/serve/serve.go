@@ -110,8 +110,8 @@ type Server struct {
 	// Default is the registry entry served when a request names none.
 	Default string
 	// Sim answers out-of-range scenarios exactly; nil means a bare
-	// estimate.Sim{}. Give it a SampleMemo to dedup repeated fallback
-	// simulations, or wrap it (estimate.FaultBackend) for chaos testing.
+	// estimate.Sim{}. Cache dedups repeated fallback simulations; wrap
+	// it (estimate.FaultBackend) for chaos testing.
 	Sim estimate.Backend
 	// Config is the fallback simulation methodology; zero means
 	// measure.Fast() — deterministic, seeded.
@@ -128,8 +128,8 @@ type Server struct {
 	Gate *Gate
 	// Reloader, when non-nil, rebuilds the registry for hot reload;
 	// POST /v1/reload is mounted and ReloadRegistry swaps the result in
-	// atomically. Answer-cache entries key on each entry's epoch, so
-	// answers from a replaced registry self-invalidate.
+	// atomically. The answer cache holds only simulator results, which
+	// no registry change alters, so it stays valid across the swap.
 	Reloader func() (*estimate.Registry, error)
 	// Workers bounds the per-request estimation pool; ≤ 0 means
 	// GOMAXPROCS.
@@ -139,12 +139,11 @@ type Server struct {
 	// MaxMessage caps a scenario's message length, bounding the cost a
 	// single fallback simulation can impose; ≤ 0 means 16 MiB.
 	MaxMessage int
-	// Cache, when non-nil, memoizes finished answers per scenario —
-	// keyed by the entry's epoch (backend + provenance, so
-	// recalibration self-invalidates), the fallback-sim methodology,
-	// the machine fingerprint, and the resolved scenario. Repeated
-	// traffic then skips estimation and bound lookup entirely. Nil
-	// disables caching (every request reports "bypass").
+	// Cache, when non-nil, memoizes fallback simulations per scenario —
+	// keyed by the fallback simulator's identity and methodology, the
+	// machine fingerprint, and the resolved scenario — so a repeated
+	// out-of-envelope scenario skips the simulator. Closed-form answers
+	// never consult it. Nil disables caching.
 	Cache *AnswerCache
 	// DisableWire turns off the binary and NDJSON codecs: only the
 	// JSON content types are accepted, everything else is a 415. The
@@ -180,16 +179,10 @@ type Server struct {
 	// deadline has already eaten the fallback simulation's budget.
 	degradedOnce sync.Once
 	degradedA    *estimate.Analytic
-	// epochs caches each entry's interned answer-cache epoch id
-	// (Entry.Epoch plus the server's sim-config digest) by entry
-	// identity.
-	epochs sync.Map // *estimate.Entry → uint64
-	// cfgOnce/cfgDigest memoize the fallback-methodology digest folded
-	// into every epoch: fallback answers depend on s.config(), so two
-	// servers with different methodologies must never share cached
-	// answers even over one AnswerCache.
-	cfgOnce   sync.Once
-	cfgDigest string
+	// simOnce/simID memoize simIdentity, the part of every answer-cache
+	// key that names this server's fallback simulation.
+	simOnce sync.Once
+	simID   string
 	// traceIDs assigns per-request trace IDs. traceCount drives the
 	// every-Nth sampling policy and counts only ok requests (errors are
 	// always captured, so they never consume a sampling slot).
@@ -209,9 +202,9 @@ type tripleKey struct {
 	mach, op, alg string
 }
 
-// maxBodyBytes bounds a request body; the largest legitimate grids are
-// a few MB of JSON.
-const maxBodyBytes = 16 << 20
+// MaxBodyBytes bounds a request body; the largest legitimate grids are
+// a few MB of JSON. The sharding front enforces the same cap.
+const MaxBodyBytes = 16 << 20
 
 // Handler returns the service's HTTP handler. Every route runs behind
 // the panic-recovery middleware — a handler panic answers 500 instead
@@ -264,8 +257,8 @@ func (s *Server) registry() *estimate.Registry {
 
 // SetRegistry atomically swaps the serving registry. In-flight requests
 // keep the entry they already resolved; new requests see the new
-// registry. Answer-cache keys carry each entry's epoch, so stale
-// answers are simply never found again.
+// registry. The answer cache holds only simulator results, so it needs
+// no invalidation.
 func (s *Server) SetRegistry(r *estimate.Registry) {
 	s.reg.Store(r)
 }
@@ -594,7 +587,7 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 	tm := newStageTimer(tr)
 	bodyBuf := getBuffer()
 	defer putBuffer(bodyBuf)
-	if _, err := bodyBuf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+	if _, err := bodyBuf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -682,10 +675,6 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 	}
 	tm.mark(obs.StageCalibrate)
 
-	var epoch uint64
-	if s.Cache != nil {
-		epoch = s.entryEpoch(entry)
-	}
 	answers := scr.answerSlice(len(res))
 	cres := scr.cacheSlice(len(res))
 	errs := scr.errSlice(len(res))
@@ -693,12 +682,12 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 		// The common single-scenario request skips the pool and its
 		// worker closures entirely.
 		wt := workerTimer{tr: tr, base: tm.base}
-		answers[0], cres[0], errs[0] = s.answerCached(ctx, entry, epoch, res[0], &wt)
+		answers[0], cres[0], errs[0] = s.answerSafe(ctx, entry, res[0], &wt)
 		wt.flush()
 	} else {
 		fanOut(workers, len(res), func() (func(int), func()) {
 			wt := &workerTimer{tr: tr, base: tm.base}
-			return func(i int) { answers[i], cres[i], errs[i] = s.answerCached(ctx, entry, epoch, res[i], wt) }, wt.flush
+			return func(i int) { answers[i], cres[i], errs[i] = s.answerSafe(ctx, entry, res[i], wt) }, wt.flush
 		})
 	}
 	tm.skip()
@@ -725,7 +714,7 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 			st.cacheHits++
 		case cacheMiss:
 			st.cacheMisses++
-		default:
+		case cacheBypass:
 			st.cacheBypass++
 		}
 	}
@@ -740,7 +729,7 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 	}
 
 	setProvenance(w, entry)
-	w.Header().Set("X-Estimate-Cache", cacheVerdict(s.Cache, st))
+	w.Header().Set("X-Estimate-Cache", CacheVerdict(st.cacheHits, st.cacheMisses))
 	switch codec {
 	case CodecNDJSON:
 		WriteNDJSONAnswers(w, answers)
@@ -759,90 +748,102 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 	return st
 }
 
-// cacheVerdict summarizes a served request's answer-cache interaction
-// for the X-Estimate-Cache header: "bypass" when no cache is attached,
-// "hit" when every scenario was served from it, "miss" otherwise.
-func cacheVerdict(c *AnswerCache, st reqStats) string {
+// CacheVerdict summarizes a request's answer-cache lookups for the
+// X-Estimate-Cache header: "miss" when any lookup missed, "hit" when
+// every lookup hit, and "bypass" when the request made none — no cache
+// attached, or no scenario needed the simulator. The sharding front
+// folds its workers' verdicts through it too, so a fronted batch
+// reports what one worker answering the whole batch would.
+func CacheVerdict(hits, misses int) string {
 	switch {
-	case c == nil:
-		return "bypass"
-	case st.cacheMisses == 0:
+	case misses > 0:
+		return "miss"
+	case hits > 0:
 		return "hit"
 	default:
-		return "miss"
+		return "bypass"
 	}
-}
-
-// entryEpoch returns the answer-cache epoch id for one registry entry:
-// Entry.Epoch (backend + provenance) extended with this server's
-// fallback-methodology digest, interned to a small id (see epochID)
-// and memoized per entry.
-func (s *Server) entryEpoch(e *estimate.Entry) uint64 {
-	if ep, ok := s.epochs.Load(e); ok {
-		return ep.(uint64)
-	}
-	s.cfgOnce.Do(func() {
-		blob, err := json.Marshal(s.config())
-		if err != nil {
-			panic(fmt.Sprintf("serve: config digest: %v", err))
-		}
-		// The fallback backend's identity is part of every epoch: a
-		// chaos-wrapped simulator (distinct provenance) must never share
-		// cached answers with a clean one.
-		sim := s.simBackend()
-		s.cfgDigest = string(blob) + "\x00" + sim.Name() + "\x00" + sim.Provenance()
-	})
-	ep := epochID(e.Epoch() + "\x00" + s.cfgDigest)
-	s.epochs.Store(e, ep)
-	return ep
 }
 
 // Answer-cache verdicts per scenario, accumulated into reqStats and
-// the serve_answer_cache_total{result} series.
+// the serve_answer_cache_total{result} series. Closed-form scenarios
+// make no lookup and count nowhere.
 const (
-	cacheBypass uint8 = iota
+	cacheNone uint8 = iota
+	cacheBypass
 	cacheHit
 	cacheMiss
 )
 
-// answerCached serves one resolved scenario through the answer cache:
-// a finished answer is returned as-is, a cold key runs s.answerSafe
-// once (single flight — concurrent requests for the same cold key wait
-// and share), and with no cache attached every scenario computes.
-// Errored and degraded computations are forgotten after the flight —
-// waiters sharing it see the same outcome, but the next request retries
-// (or gets the real answer once the pressure is off) instead of being
-// served a poisoned slot forever.
-func (s *Server) answerCached(ctx context.Context, entry *estimate.Entry, epoch uint64, rs resolved, wt *workerTimer) (Answer, uint8, error) {
+// simIdentity names this server's fallback simulation for answer-cache
+// keys: the simulator's name and provenance (a chaos-wrapped simulator
+// never shares results with a clean one) plus the methodology, so two
+// servers over one AnswerCache share only what they would both compute.
+func (s *Server) simIdentity() string {
+	s.simOnce.Do(func() {
+		blob, err := json.Marshal(s.config())
+		if err != nil {
+			panic(fmt.Sprintf("serve: config digest: %v", err))
+		}
+		sim := s.simBackend()
+		s.simID = string(blob) + "\x00" + sim.Name() + "\x00" + sim.Provenance()
+	})
+	return s.simID
+}
+
+// simulate runs one fallback scenario on the exact simulator through
+// the answer cache: a finished result is returned as-is, a cold key
+// simulates once (single flight — concurrent requests for the same
+// cold key wait and share), and with no cache attached every scenario
+// simulates. Errored flights are forgotten: their waiters share the
+// error, but the next request retries instead of being served a
+// poisoned slot forever.
+func (s *Server) simulate(ctx context.Context, rs resolved) (simResult, uint8, error) {
 	if s.Cache == nil {
-		a, err := s.answerSafe(ctx, entry, rs, wt)
-		return a, cacheBypass, err
+		r, err := s.runSim(ctx, rs)
+		return r, cacheBypass, err
 	}
 	k := acKey{
-		eid: epoch, fp: estimate.CachedFingerprint(rs.mach),
+		sim: s.simIdentity(), fp: estimate.CachedFingerprint(rs.mach),
 		op: rs.op, alg: rs.alg, p: rs.p, m: rs.m,
 	}
 	e, created := s.Cache.get(k)
 	if !created && e.done.Load() {
-		// The steady-state hit: the answer exists, so skip once.Do —
-		// building its closure would be the hit path's only allocation.
-		return e.ans, cacheHit, e.err
+		return e.res, cacheHit, e.err
 	}
-	// Whoever wins the once computes; everyone blocks until the answer
-	// exists. The creator is the accounting miss either way. The recover
-	// lives inside answerSafe, not around the Do: a panic escaping the
-	// Do fn would mark the once consumed and poison the entry.
+	// Whoever wins the once simulates; everyone blocks until the result
+	// exists. The creator is the accounting miss either way.
 	e.once.Do(func() {
-		e.ans, e.err = s.answerSafe(ctx, entry, rs, wt)
+		e.res, e.err = s.runSim(ctx, rs)
 		e.done.Store(true)
-		if e.err != nil || e.ans.FallbackReason == reasonDegraded {
+		if e.err != nil {
 			s.Cache.forget(k, e)
 		}
 	})
 	if created {
-		return e.ans, cacheMiss, e.err
+		return e.res, cacheMiss, e.err
 	}
-	return e.ans, cacheHit, e.err
+	return e.res, cacheHit, e.err
+}
+
+// runSim is one fallback simulation with a backend panic converted to
+// an error. The recover must sit inside the cache's single flight: a
+// panic escaping once.Do would consume the once and hand every waiter
+// an empty result.
+func (s *Server) runSim(ctx context.Context, rs resolved) (r simResult, err error) {
+	defer recoverBackend(&err)
+	est, err := s.simBackend().Estimate(ctx, rs.mach, rs.op, rs.algs, rs.p, rs.m, s.config())
+	return simResult{micros: est.Sample.Micros, backend: est.Backend}, err
+}
+
+// recoverBackend, deferred, turns a backend panic into the frame's
+// error result. Worker goroutines are outside net/http's recovery, so
+// an unrecovered panic (an injected chaos fault, a modeling bug) would
+// kill the process; here it becomes a per-scenario error and a 500.
+func recoverBackend(err *error) {
+	if rec := recover(); rec != nil {
+		*err = fmt.Errorf("backend panicked: %v", rec)
+	}
 }
 
 // ParseJSONRequest accepts the three request shapes: a bare
@@ -952,62 +953,61 @@ const sweepDefaultAlg = "default"
 
 // reasonDegraded marks an answer served closed-form because the
 // request's deadline expired before the exact simulator could finish.
-// Degraded answers carry no bounds and are never cached.
+// Degraded answers carry no bounds and never reach the answer cache,
+// which holds only completed simulations.
 const reasonDegraded = "degraded_deadline"
 
-// answerSafe is answer with backend panics converted to errors. Worker
-// goroutines are outside net/http's recovery, so an unrecovered panic
-// (an injected chaos fault, a modeling bug) would kill the process; here
-// it becomes a per-scenario error and a 500.
-func (s *Server) answerSafe(ctx context.Context, entry *estimate.Entry, rs resolved, wt *workerTimer) (a Answer, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			a, err = Answer{}, fmt.Errorf("backend panicked: %v", rec)
-		}
-	}()
+// answerSafe is answer with backend panics converted to errors (see
+// recoverBackend).
+func (s *Server) answerSafe(ctx context.Context, entry *estimate.Entry, rs resolved, wt *workerTimer) (a Answer, cache uint8, err error) {
+	defer recoverBackend(&err)
 	return s.answer(ctx, entry, rs, wt)
 }
 
-// answer serves one resolved scenario from the entry — or from the
-// exact simulator, flagged, when the fallback decision computed at
-// resolve time says the entry cannot answer it honestly. A ctx that
-// expires mid-estimate degrades to the paper's closed-form expressions
-// when they cover the scenario (an instant answer flagged
-// "degraded_deadline", no bounds) and errors otherwise. Estimate and
-// bound-attach time is charged to the worker's timer.
-func (s *Server) answer(ctx context.Context, entry *estimate.Entry, rs resolved, wt *workerTimer) (Answer, error) {
+// answer serves one resolved scenario from the entry — or, flagged,
+// from the exact simulator through the answer cache when the fallback
+// decision computed at resolve time says the entry cannot answer it
+// honestly. A simulation cut short by a deadline — this request's, or
+// the one a shared cache flight ran under — degrades to the paper's
+// closed-form expressions when they cover the scenario (an instant
+// answer flagged "degraded_deadline", no bounds) and errors otherwise.
+// Estimate and bound-attach time is charged to the worker's timer; the
+// second result is the scenario's answer-cache verdict.
+func (s *Server) answer(ctx context.Context, entry *estimate.Entry, rs resolved, wt *workerTimer) (Answer, uint8, error) {
 	echo := Scenario{Machine: rs.mach.Name(), Op: string(rs.op), Algorithm: rs.alg, P: rs.p, M: rs.m}
 	e0 := wt.start()
-	var est estimate.Estimate
+	var r simResult
+	cache := cacheNone
 	var err error
 	if rs.fallback {
-		est, err = s.simBackend().Estimate(ctx, rs.mach, rs.op, rs.algs, rs.p, rs.m, s.config())
+		r, cache, err = s.simulate(ctx, rs)
 	} else {
+		var est estimate.Estimate
 		est, err = entry.Backend.Estimate(ctx, rs.mach, rs.op, rs.algs, rs.p, rs.m, s.config())
-	}
-	if err != nil {
-		wt.estimateDone(e0)
-		if ctx.Err() != nil {
-			if a, ok := s.degradedAnswer(echo, rs); ok {
-				return a, nil
-			}
-			// Make sure the timeout wins the errors.Is dispatch even if
-			// the backend returned a bare injected error after ctx fired.
-			return Answer{}, fmt.Errorf("%w (%v)", ctx.Err(), err)
-		}
-		return Answer{}, err
+		r = simResult{micros: est.Sample.Micros, backend: est.Backend}
 	}
 	e1 := wt.estimateDone(e0)
-	if rs.fallback {
-		return Answer{
-			Scenario: echo, Micros: est.Sample.Micros, Backend: est.Backend,
-			Fallback: true, FallbackReason: rs.fallbackReason,
-		}, nil
+	if err != nil {
+		if ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
+			if a, ok := s.degradedAnswer(echo, rs); ok {
+				return a, cache, nil
+			}
+		}
+		if ctx.Err() != nil {
+			// Make sure the timeout wins the errors.Is dispatch even if
+			// the backend returned a bare injected error after ctx fired.
+			return Answer{}, cache, fmt.Errorf("%w (%v)", ctx.Err(), err)
+		}
+		return Answer{}, cache, err
 	}
-	a := Answer{Scenario: echo, Micros: est.Sample.Micros, Backend: est.Backend}
+	a := Answer{Scenario: echo, Micros: r.micros, Backend: r.backend}
+	if rs.fallback {
+		a.Fallback, a.FallbackReason = true, rs.fallbackReason
+		return a, cache, nil
+	}
 	attachBound(entry, rs, &a)
 	wt.boundsDone(e1)
-	return a, nil
+	return a, cache, nil
 }
 
 // degradedAnswer answers a deadline-pressed scenario from the paper's

@@ -143,8 +143,10 @@ go build -o "$tracebin" ./cmd/serve ./cmd/predict ./cmd/fleetfront
 # Front overhead: the batch788 grid through the sharding front over two
 # workers vs one of those workers answering directly. Tracked, not
 # gated — the target is ≤15% overhead (one extra hop, split/merge, and
-# the per-worker gates). Both paths are warmed once so answer-cache
-# fills don't land on either side of the comparison.
+# the per-worker gates). Both paths are warmed once so the grid's
+# fallback simulations (paper-table3 covers neither allgather nor the
+# non-default variants) sit in each worker's answer cache before
+# either side is timed.
 fw0_port=18696 fw1_port=18697 front_port=18698
 "$tracebin/serve" -addr "127.0.0.1:$fw0_port" -registry paper-table3 -quiet &
 pids+=($!)
