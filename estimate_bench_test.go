@@ -1,10 +1,13 @@
 package repro_test
 
 import (
+	"context"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/estimate"
 	"repro/internal/machine"
+	"repro/internal/mpi"
 	"repro/internal/sweep"
 )
 
@@ -81,6 +84,10 @@ func BenchmarkEstimateThroughput(b *testing.B) {
 // affine — BENCH.md tracks the pair. Run with the default -benchtime
 // (steady state), not 1x.
 
+// parallelSink keeps the parallel benchmark's estimates observable, so
+// the compiler cannot drop the calls.
+var parallelSink atomic.Uint64
+
 func BenchmarkPiecewiseServing(b *testing.B) {
 	scns := estimateGrid(b)
 	warm := func(b *testing.B, fit estimate.FitConfig) {
@@ -96,5 +103,43 @@ func BenchmarkPiecewiseServing(b *testing.B) {
 
 	b.Run("piecewise-warm", func(b *testing.B) {
 		warm(b, estimate.FitConfig{Piecewise: true})
+	})
+
+	// Calibrated.Estimate called directly from b.RunParallel goroutines,
+	// one op per estimate: the warm read path takes no lock, so ns/op at
+	// -cpu 2 must come in below -cpu 1. Names are resolved off the clock.
+	b.Run("affine-warm-parallel", func(b *testing.B) {
+		backend := &estimate.Calibrated{Config: benchCfg, Sizes: []int{8, 32}}
+		(&sweep.Runner{Backend: backend}).Run(scns)
+		type point struct {
+			mach *machine.Machine
+			op   machine.Op
+			algs mpi.Algorithms
+			p, m int
+		}
+		points := make([]point, len(scns))
+		for i, sc := range scns {
+			mach := machine.ByName(sc.Machine)
+			algs := mpi.DefaultAlgorithms(mach)
+			if sc.Algorithm != sweep.DefaultAlgorithm {
+				algs = algs.With(sc.Op, sc.Algorithm)
+			}
+			points[i] = point{mach, sc.Op, algs, sc.P, sc.M}
+		}
+		var offset atomic.Int64
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			i := int(offset.Add(int64(len(points)/4))) % len(points)
+			var sink float64
+			for pb.Next() {
+				pt := &points[i]
+				est, _ := backend.Estimate(context.Background(), pt.mach, pt.op, pt.algs, pt.p, pt.m, benchCfg)
+				sink += est.Sample.Micros
+				if i++; i == len(points) {
+					i = 0
+				}
+			}
+			parallelSink.Add(uint64(sink))
+		})
 	})
 }

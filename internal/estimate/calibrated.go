@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/fit"
 	"repro/internal/machine"
@@ -201,19 +200,8 @@ type Calibrated struct {
 	// before the first Estimate call, like every other field.
 	StoreHits, Refits *obs.Counter
 
-	mu  sync.Mutex
-	cal map[calTriple]*calEntry
-}
-
-type calTriple struct {
-	mach string
-	op   machine.Op
-	alg  string // always a resolved (non-alias) name
-}
-
-type calEntry struct {
-	once sync.Once
-	expr fit.Expression
+	// cells holds one calCell per resolved triple; reads take no lock.
+	cells cowMap[tripleKey, *calCell]
 }
 
 // Triple identifies one calibration unit for Precalibrate. Alg may be
@@ -258,16 +246,16 @@ func (c *Calibrated) planner() Planner {
 
 // Estimate serves (op, algs, p, m) on mach from the triple's fitted
 // expression, calibrating it first if this is the triple's first use.
-// ctx is deliberately ignored: a calibration is a shared once-per-triple
-// computation (calEntry.once), and letting one request's deadline abort
-// it would poison the entry for every later request sharing the triple.
-// The error is always nil.
+// A warm triple is one lock-free lookup and one Predict, so concurrent
+// callers scale across cores. ctx is deliberately ignored: a
+// calibration is a shared once-per-triple computation, and letting one
+// request's deadline abort it would poison the triple for every later
+// request sharing it. The error is always nil.
 func (c *Calibrated) Estimate(_ context.Context, mach *machine.Machine, op machine.Op, algs mpi.Algorithms, p, m int, _ measure.Config) (Estimate, error) {
-	e := c.Expression(mach, op, algs.Get(op))
 	// Predict clamps small negative fitted per-byte terms (non-physical
 	// outside the calibrated range) and dispatches piecewise fits to the
 	// segment covering m, exactly like model.Predictor.Time.
-	t := e.Predict(m, p)
+	t := c.cell(mach, op, algs.Get(op)).fitted().Predict(m, p)
 	return closedForm(BackendCalibrated, mach.Name(), op, p, m, t), nil
 }
 
@@ -276,22 +264,21 @@ func (c *Calibrated) Estimate(_ context.Context, mach *machine.Machine, op machi
 // "default" alias (or an empty name) resolves to the machine's vendor
 // table entry, sharing that variant's calibration.
 func (c *Calibrated) Expression(mach *machine.Machine, op machine.Op, alg string) fit.Expression {
+	return *c.cell(mach, op, alg).fitted()
+}
+
+// cell returns the triple's calibration cell, creating it (unfitted) on
+// first sight. The "default" alias (or an empty name) resolves to the
+// vendor table entry's cell.
+func (c *Calibrated) cell(mach *machine.Machine, op machine.Op, alg string) *calCell {
 	if alg == "" || alg == defaultAlg {
 		alg = mpi.DefaultAlgorithms(mach).Get(op)
 	}
-	k := calTriple{mach.Name(), op, alg}
-	c.mu.Lock()
-	if c.cal == nil {
-		c.cal = map[calTriple]*calEntry{}
+	k := tripleKey{mach.Name(), op, alg}
+	if cell, ok := c.cells.load(k); ok {
+		return cell
 	}
-	entry, ok := c.cal[k]
-	if !ok {
-		entry = &calEntry{}
-		c.cal[k] = entry
-	}
-	c.mu.Unlock()
-	entry.once.Do(func() { entry.expr = c.calibrate(mach, op, alg) })
-	return entry.expr
+	return c.cells.publish(k, &calCell{c: c, mach: mach, op: op, alg: alg}, nil)
 }
 
 // Precalibrate fits every distinct triple (after default-alias
@@ -300,19 +287,14 @@ func (c *Calibrated) Expression(mach *machine.Machine, op machine.Op, alg string
 // touch. workers ≤ 0 uses c.Workers, then GOMAXPROCS. Safe to call
 // repeatedly; already-calibrated triples cost nothing.
 func (c *Calibrated) Precalibrate(triples []Triple, workers int) {
-	seen := map[calTriple]bool{}
-	work := make([]Triple, 0, len(triples))
+	seen := map[*calCell]bool{}
+	work := make([]*calCell, 0, len(triples))
 	for _, tr := range triples {
-		alg := tr.Alg
-		if alg == "" || alg == defaultAlg {
-			alg = mpi.DefaultAlgorithms(tr.Machine).Get(tr.Op)
+		cell := c.cell(tr.Machine, tr.Op, tr.Alg)
+		if !seen[cell] {
+			seen[cell] = true
+			work = append(work, cell)
 		}
-		k := calTriple{tr.Machine.Name(), tr.Op, alg}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		work = append(work, Triple{tr.Machine, tr.Op, alg})
 	}
 	if workers <= 0 {
 		workers = c.Workers
@@ -320,31 +302,7 @@ func (c *Calibrated) Precalibrate(triples []Triple, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(work) {
-		workers = len(work)
-	}
-	if workers <= 1 {
-		for _, tr := range work {
-			c.Expression(tr.Machine, tr.Op, tr.Alg)
-		}
-		return
-	}
-	jobs := make(chan Triple, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for tr := range jobs {
-				c.Expression(tr.Machine, tr.Op, tr.Alg)
-			}
-		}()
-	}
-	for _, tr := range work {
-		jobs <- tr
-	}
-	close(jobs)
-	wg.Wait()
+	fitCells(work, workers)
 }
 
 // Predictor calibrates every (machine, op) with the vendor-default

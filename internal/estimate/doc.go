@@ -53,6 +53,17 @@
 // Entry.Covers delimit the calibrated (p, m) envelope so out-of-range
 // requests can fall back to the simulator instead of extrapolating.
 //
+// # Evaluator handles
+//
+// Entry.Resolve compiles one immutable Evaluator per (entry, machine,
+// op, algorithm) triple and caches it on the entry: the bound names,
+// the fitted expression (for a Calibrated backend, the triple's
+// calibration cell, fitted once on first use), the envelope, and the
+// triple's BoundRow of the error table. A serving layer resolves each
+// distinct triple of a batch once and then answers every scenario of
+// it with an envelope test, one Predict, and a one-row bound lookup.
+// Calibrated.Estimate reads the same cells without a lock.
+//
 // SampleMemo dedups identical simulator measurements process-wide
 // (including in-flight ones), which is why a validation run simulates
 // each grid cell exactly once even though the sim pass and the

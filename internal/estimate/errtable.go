@@ -48,8 +48,9 @@ type ErrorCell struct {
 // the nearest length on a log scale (closed-form error varies smoothly
 // in m, so the neighbor is the honest stand-in). ok is false when the
 // table has no (machine, op) rows at all. A nil table bounds nothing.
+// Serving paths look bounds up through Row once per triple instead.
 func (t *ErrorTable) Bound(mach string, op machine.Op, m int) (ErrorCell, bool) {
-	return t.nearest(mach, op, m, 0, math.MaxInt)
+	return t.Row(mach, op).Bound(m)
 }
 
 // BoundIn is Bound constrained to validated lengths within [lo, hi] —
@@ -60,24 +61,52 @@ func (t *ErrorTable) Bound(mach string, op machine.Op, m int) (ErrorCell, bool) 
 // sparser than the calibration grid) it falls back to the
 // unconstrained nearest-length lookup.
 func (t *ErrorTable) BoundIn(mach string, op machine.Op, m, lo, hi int) (ErrorCell, bool) {
-	if c, ok := t.nearest(mach, op, m, lo, hi); ok {
+	return t.Row(mach, op).BoundIn(m, lo, hi)
+}
+
+// BoundRow is one (machine, op) row of an error table, its cells in
+// table order. Bound and BoundIn over a row answer exactly what the
+// table's lookups answer for that pair, scanning only the row.
+type BoundRow []ErrorCell
+
+// Row returns the table's cells for (mach, op), copied; a nil table has
+// an empty row.
+func (t *ErrorTable) Row(mach string, op machine.Op) BoundRow {
+	if t == nil {
+		return nil
+	}
+	var row BoundRow
+	for _, c := range t.Cells {
+		if c.Machine == mach && c.Op == op {
+			row = append(row, c)
+		}
+	}
+	return row
+}
+
+// Bound is ErrorTable.Bound over the row.
+func (r BoundRow) Bound(m int) (ErrorCell, bool) {
+	return r.nearest(m, 0, math.MaxInt)
+}
+
+// BoundIn is ErrorTable.BoundIn over the row.
+func (r BoundRow) BoundIn(m, lo, hi int) (ErrorCell, bool) {
+	if c, ok := r.nearest(m, lo, hi); ok {
 		return c, true
 	}
-	return t.Bound(mach, op, m)
+	return r.Bound(m)
 }
 
 // nearest is the one nearest-cell scan behind Bound and BoundIn: the
 // exact cell when a validated length in [lo, hi] matches m, otherwise
-// the in-range cell with the nearest length on a log scale.
-func (t *ErrorTable) nearest(mach string, op machine.Op, m, lo, hi int) (ErrorCell, bool) {
-	if t == nil {
-		return ErrorCell{}, false
-	}
+// the in-range cell with the nearest length on a log scale (the first
+// such cell on ties).
+func (r BoundRow) nearest(m, lo, hi int) (ErrorCell, bool) {
 	var best ErrorCell
 	bestDist := math.Inf(1)
 	found := false
-	for _, c := range t.Cells {
-		if c.Machine != mach || c.Op != op || c.M < lo || c.M > hi {
+	for _, c := range r {
+		if c.M < lo || c.M > hi {
 			continue
 		}
 		if c.M == m {

@@ -68,6 +68,9 @@ type Entry struct {
 	// for the pair at all. A nil Ranges means unbounded: every request
 	// is answered in closed form, never by fallback.
 	Ranges func(mach *machine.Machine, op machine.Op) (Range, bool)
+
+	// evaluators caches one compiled handle per triple (see Evaluator).
+	evaluators cowMap[tripleKey, *Evaluator]
 }
 
 // Covers reports whether (mach, op, p, m) lies inside the entry's

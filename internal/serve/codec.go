@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"sync"
 
+	"repro/internal/estimate"
 	"repro/internal/serve/wire"
 )
 
@@ -115,29 +116,26 @@ func WriteNDJSONAnswers(w http.ResponseWriter, answers []Answer) {
 }
 
 // resolveWire binds a decoded binary request into res. Each distinct
-// (machine, op, algorithm) index triple is resolved once per request
-// through the scratch memo — the point of the string table — and every
-// record then pays only the (p, m) validation.
-func (s *Server) resolveWire(req *wire.Request, scr *scratch, res []resolved) error {
-	clear(scr.triples)
+// (machine, op, algorithm) index triple is bound once per request (see
+// Server.addTriple) — the point of the string table — and every
+// record then pays one integer-keyed lookup and the (p, m) validation.
+func (s *Server) resolveWire(req *wire.Request, scr *scratch, entry *estimate.Entry, res []resolved) error {
 	for i, rec := range req.Records {
 		tk := uint64(rec.Mach)<<42 | uint64(rec.Op)<<21 | uint64(rec.Alg)
-		base, ok := scr.triples[tk]
+		ti, ok := scr.byWire[tk]
+		var err error
 		if !ok {
-			var err error
-			base, err = s.resolveTriple(req.Table[rec.Mach], req.Table[rec.Op], req.Table[rec.Alg])
-			if err != nil {
-				return fmt.Errorf("scenario %d (%s/%s): %w",
-					i, req.Table[rec.Mach], req.Table[rec.Op], err)
+			if ti, err = s.addTriple(scr, entry, req.Table[rec.Mach], req.Table[rec.Op], req.Table[rec.Alg]); err == nil {
+				scr.byWire[tk] = ti
 			}
-			scr.triples[tk] = base
 		}
-		rs := base
-		if err := s.checkPM(&rs, rec.P, rec.M); err != nil {
+		if err == nil {
+			err = s.bindScenario(scr, ti, rec.P, rec.M, &res[i])
+		}
+		if err != nil {
 			return fmt.Errorf("scenario %d (%s/%s): %w",
 				i, req.Table[rec.Mach], req.Table[rec.Op], err)
 		}
-		res[i] = rs
 	}
 	return nil
 }
@@ -187,23 +185,39 @@ func putBuffer(b *bytes.Buffer) {
 	bufPool.Put(b)
 }
 
-// scratch is the per-request working set — resolved scenarios,
-// answers, cache verdicts, the decoded binary frame, and the binary
-// encode buffer — pooled so a steady request stream stops allocating
-// per request on every codec path. Slices are resliced and fully
-// overwritten each use.
+// scratch is the per-request working set — resolved scenarios, the
+// request's distinct triples, answers, their bounds, cache verdicts,
+// the decoded binary frame, and the binary encode buffer — pooled so a
+// steady request stream allocates O(1) per request on the binary path.
+// Slices are resliced and fully overwritten each use.
 type scratch struct {
 	res     []resolved
 	answers []Answer
+	bounds  []Bound
 	cres    []uint8
 	errs    []error
 	wreq    wire.Request
 	wbuf    []byte
-	triples map[uint64]resolved
+	// tris are the request's distinct triples, indexed from the
+	// request-local memos: byWire by binary string-table indices,
+	// byName by JSON/NDJSON names. evs collects the handles of the
+	// triples with a closed-form scenario, for estimate.Prepare.
+	tris   []reqTriple
+	byWire map[uint64]int32
+	byName map[tripleKey]int32
+	evs    []*estimate.Evaluator
+}
+
+// reqTriple is one distinct triple of a request: the serving entry's
+// handle, and whether any scenario of the triple is answered in closed
+// form.
+type reqTriple struct {
+	ev         *estimate.Evaluator
+	closedForm bool
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &scratch{triples: make(map[uint64]resolved)}
+	return &scratch{byWire: make(map[uint64]int32), byName: make(map[tripleKey]int32)}
 }}
 
 func getScratch() *scratch {
@@ -215,6 +229,25 @@ func putScratch(s *scratch) {
 		return
 	}
 	scratchPool.Put(s)
+}
+
+// beginTriples resets the request's distinct-triple table.
+func (s *scratch) beginTriples() {
+	s.tris = s.tris[:0]
+	clear(s.byWire)
+	clear(s.byName)
+}
+
+// closedFormEvaluators returns the handles of the request's triples
+// that answer at least one scenario in closed form.
+func (s *scratch) closedFormEvaluators() []*estimate.Evaluator {
+	s.evs = s.evs[:0]
+	for i := range s.tris {
+		if s.tris[i].closedForm {
+			s.evs = append(s.evs, s.tris[i].ev)
+		}
+	}
+	return s.evs
 }
 
 func (s *scratch) resolvedSlice(n int) []resolved {
@@ -231,6 +264,14 @@ func (s *scratch) answerSlice(n int) []Answer {
 	}
 	s.answers = s.answers[:n]
 	return s.answers
+}
+
+func (s *scratch) boundSlice(n int) []Bound {
+	if cap(s.bounds) < n {
+		s.bounds = make([]Bound, n)
+	}
+	s.bounds = s.bounds[:n]
+	return s.bounds
 }
 
 func (s *scratch) cacheSlice(n int) []uint8 {

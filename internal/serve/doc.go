@@ -10,11 +10,24 @@
 //
 // Every request selects a named expression set from an
 // estimate.Registry (paper-table3, refit-default, refit-adaptive,
-// refit-piecewise, or anything the embedding process registered);
-// batched scenarios fan out across a bounded worker pool, and cold
-// calibrated batches bulk-calibrate their (machine, op, algorithm)
-// triples first, so a request never serializes behind one triple's
-// first fit.
+// refit-piecewise, or anything the embedding process registered).
+//
+// # How a batch is served
+//
+// Names are resolved once per distinct (machine, op, algorithm) triple
+// of a request, not per scenario: a request-local memo maps each
+// triple to the entry's immutable evaluator handle
+// (estimate.Entry.Resolve), which carries the bound names, the fitted
+// expression, the calibrated envelope, and the triple's row of the
+// entry's error table, and is cached on the entry (a hot reload swaps
+// the whole registry, so a handle is never stale). The distinct
+// in-envelope triples of a cold batch calibrate concurrently first
+// (estimate.Prepare), so a request never serializes behind one
+// triple's first fit. The batch then fans out in contiguous chunks
+// across a bounded worker pool; a closed-form scenario costs an
+// envelope test, one fit.Expression.Predict, and a bound lookup over
+// one row, with no lock, map lookup, or allocation. Fallback scenarios
+// take the simulator path through the answer cache.
 //
 // # Honesty guarantees
 //

@@ -16,7 +16,6 @@ import (
 	"repro/internal/estimate"
 	"repro/internal/machine"
 	"repro/internal/measure"
-	"repro/internal/mpi"
 	"repro/internal/obs"
 )
 
@@ -188,16 +187,9 @@ type Server struct {
 	// always captured, so they never consume a sampling slot).
 	traceIDs   TraceIDs
 	traceCount atomic.Uint64
-	// triples caches name binding per (machine, op, algorithm) triple:
-	// the preset constructors build a fresh machine (and algorithm
-	// table) on every lookup, which would otherwise dominate a batched
-	// request's cost. The valid-triple space is small and fixed, so the
-	// cache is naturally bounded; failed resolutions are not cached.
-	triplesMu sync.RWMutex
-	triples   map[tripleKey]resolved
 }
 
-// tripleKey names one (machine, op, algorithm) binding, pre-resolution.
+// tripleKey names one (machine, op, algorithm) triple, pre-resolution.
 type tripleKey struct {
 	mach, op, alg string
 }
@@ -334,13 +326,12 @@ func (s *Server) maxMessage() int {
 	return s.MaxMessage
 }
 
-// resolved is a validated scenario, every name bound to its object,
-// with the entry's fallback decision computed once up front.
+// resolved is a validated scenario: the serving entry's evaluator
+// handle for its triple (which carries the bound names), its (p, m),
+// and the fallback decision computed once up front.
 type resolved struct {
-	mach *machine.Machine
-	op   machine.Op
-	alg  string // "default" or a registry variant, validated
-	algs mpi.Algorithms
+	ev   *estimate.Evaluator
+	tri  int32 // index of the triple in the request's scratch.tris
 	p, m int
 	// fallback, fbKind, and fallbackReason record whether the exact
 	// simulator must answer (outside the calibrated envelope, an
@@ -640,20 +631,22 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 			fmt.Errorf("%d scenarios exceed the batch cap of %d", n, s.maxBatch()))
 	}
 	res := scr.resolvedSlice(n)
+	scr.beginTriples()
 	if codec == CodecBinary {
-		if err := s.resolveWire(&scr.wreq, scr, res); err != nil {
-			return fail(http.StatusBadRequest, err)
-		}
+		err = s.resolveWire(&scr.wreq, scr, entry, res)
 	} else {
-		for i, sc := range scns {
-			if res[i], err = s.resolve(sc); err != nil {
-				return fail(http.StatusBadRequest, fmt.Errorf("scenario %d (%s/%s): %w", i, sc.Machine, sc.Op, err))
-			}
-		}
+		err = s.resolveScenarios(scns, scr, entry, res)
 	}
+	if err != nil {
+		return fail(http.StatusBadRequest, err)
+	}
+	// The envelope test is per scenario; everything else about the
+	// fallback decision was settled once per triple in its handle.
 	for i := range res {
-		res[i].fallbackReason, res[i].fbKind = fallbackReason(entry, res[i])
-		res[i].fallback = res[i].fbKind != fbNone
+		res[i].fallbackReason, res[i].fbKind = fallbackReason(entry, &res[i])
+		if res[i].fallback = res[i].fbKind != fbNone; !res[i].fallback {
+			scr.tris[res[i].tri].closedForm = true
+		}
 	}
 	tm.mark(obs.StageResolve)
 
@@ -661,33 +654,29 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Bulk-calibrate the in-envelope triples of a calibrated entry
-	// before fanning out, so a cold batch parallelizes its calibration
-	// across triples instead of behind first-touch scenario workers.
-	if cal, ok := entry.Backend.(*estimate.Calibrated); ok {
-		var triples []estimate.Triple
-		for _, rs := range res {
-			if !rs.fallback {
-				triples = append(triples, estimate.Triple{Machine: rs.mach, Op: rs.op, Alg: rs.alg})
-			}
-		}
-		cal.Precalibrate(triples, workers)
-	}
+	// Bulk-calibrate the request's distinct in-envelope triples before
+	// fanning out, so a cold batch parallelizes its calibration across
+	// triples instead of behind first-touch scenario workers. A warm
+	// batch finds every handle ready and pays one check per triple.
+	estimate.Prepare(scr.closedFormEvaluators(), workers)
 	tm.mark(obs.StageCalibrate)
 
 	answers := scr.answerSlice(len(res))
 	cres := scr.cacheSlice(len(res))
 	errs := scr.errSlice(len(res))
+	bounds := scr.boundSlice(len(res))
 	if len(res) == 1 {
 		// The common single-scenario request skips the pool and its
 		// worker closures entirely.
 		wt := workerTimer{tr: tr, base: tm.base}
-		answers[0], cres[0], errs[0] = s.answerSafe(ctx, entry, res[0], &wt)
+		cres[0], errs[0] = s.answerSafe(ctx, entry, &res[0], &answers[0], &bounds[0], &wt)
 		wt.flush()
 	} else {
 		fanOut(workers, len(res), func() (func(int), func()) {
 			wt := &workerTimer{tr: tr, base: tm.base}
-			return func(i int) { answers[i], cres[i], errs[i] = s.answerSafe(ctx, entry, res[i], wt) }, wt.flush
+			return func(i int) {
+				cres[i], errs[i] = s.answerSafe(ctx, entry, &res[i], &answers[i], &bounds[i], wt)
+			}, wt.flush
 		})
 	}
 	tm.skip()
@@ -697,7 +686,7 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 	for i := range res {
 		if errs[i] != nil && scErr == nil {
 			scErr = fmt.Errorf("scenario %d (%s/%s p=%d m=%d): %w",
-				i, res[i].mach.Name(), res[i].op, res[i].p, res[i].m, errs[i])
+				i, res[i].ev.Machine().Name(), res[i].ev.Op(), res[i].p, res[i].m, errs[i])
 		}
 		if res[i].fallback {
 			st.fallbacks++
@@ -804,8 +793,8 @@ func (s *Server) simulate(ctx context.Context, rs resolved) (simResult, uint8, e
 		return r, cacheBypass, err
 	}
 	k := acKey{
-		sim: s.simIdentity(), fp: estimate.CachedFingerprint(rs.mach),
-		op: rs.op, alg: rs.alg, p: rs.p, m: rs.m,
+		sim: s.simIdentity(), fp: estimate.CachedFingerprint(rs.ev.Machine()),
+		op: rs.ev.Op(), alg: rs.ev.Alg(), p: rs.p, m: rs.m,
 	}
 	e, created := s.Cache.get(k)
 	if !created && e.done.Load() {
@@ -832,7 +821,7 @@ func (s *Server) simulate(ctx context.Context, rs resolved) (simResult, uint8, e
 // an empty result.
 func (s *Server) runSim(ctx context.Context, rs resolved) (r simResult, err error) {
 	defer recoverBackend(&err)
-	est, err := s.simBackend().Estimate(ctx, rs.mach, rs.op, rs.algs, rs.p, rs.m, s.config())
+	est, err := s.simBackend().Estimate(ctx, rs.ev.Machine(), rs.ev.Op(), rs.ev.Algorithms(), rs.p, rs.m, s.config())
 	return simResult{micros: est.Sample.Micros, backend: est.Backend}, err
 }
 
@@ -873,56 +862,46 @@ func ParseJSONRequest(body []byte) (registry string, scns []Scenario, err error)
 	return req.Registry, scns, nil
 }
 
-// resolve validates one scenario and binds its names.
-func (s *Server) resolve(sc Scenario) (resolved, error) {
-	rs, err := s.resolveTriple(sc.Machine, sc.Op, sc.Algorithm)
-	if err != nil {
-		return resolved{}, err
+// resolveScenarios binds decoded JSON/NDJSON scenarios into res. Each
+// distinct (machine, op, algorithm) name triple is bound once per
+// request (see Server.addTriple); every scenario then pays one
+// request-local map lookup and the (p, m) validation.
+func (s *Server) resolveScenarios(scns []Scenario, scr *scratch, entry *estimate.Entry, res []resolved) error {
+	for i, sc := range scns {
+		k := tripleKey{sc.Machine, sc.Op, sc.Algorithm}
+		ti, ok := scr.byName[k]
+		var err error
+		if !ok {
+			if ti, err = s.addTriple(scr, entry, sc.Machine, sc.Op, sc.Algorithm); err == nil {
+				scr.byName[k] = ti
+			}
+		}
+		if err == nil {
+			err = s.bindScenario(scr, ti, sc.P, sc.M, &res[i])
+		}
+		if err != nil {
+			return fmt.Errorf("scenario %d (%s/%s): %w", i, sc.Machine, sc.Op, err)
+		}
 	}
-	if err := s.checkPM(&rs, sc.P, sc.M); err != nil {
-		return resolved{}, err
-	}
-	return rs, nil
+	return nil
 }
 
-// resolveTriple binds the name part of a scenario — machine, operation,
-// algorithm, and the algorithm table the estimate runs under —
-// memoized across requests (the triple space is small and fixed; see
-// Server.triples). The returned base shares its machine and algorithm
-// table between scenarios, which is safe: both are read-only after
-// construction.
-func (s *Server) resolveTriple(machName, opName, algName string) (resolved, error) {
-	k := tripleKey{machName, opName, algName}
-	s.triplesMu.RLock()
-	rs, ok := s.triples[k]
-	s.triplesMu.RUnlock()
-	if ok {
-		return rs, nil
-	}
-	mach, err := estimate.ResolveMachine(machName)
+// addTriple resolves one name triple to the serving entry's evaluator
+// handle (cached on the entry) and appends it to the request's distinct
+// triples, returning its index.
+func (s *Server) addTriple(scr *scratch, entry *estimate.Entry, machName, opName, algName string) (int32, error) {
+	ev, err := entry.Resolve(machName, opName, algName)
 	if err != nil {
-		return resolved{}, err
+		return 0, err
 	}
-	op, err := estimate.ResolveOp(opName)
-	if err != nil {
-		return resolved{}, err
-	}
-	alg, err := estimate.ResolveAlgorithm(mach, op, algName)
-	if err != nil {
-		return resolved{}, err
-	}
-	algs := mpi.DefaultAlgorithms(mach)
-	if alg != sweepDefaultAlg {
-		algs = algs.With(op, alg)
-	}
-	rs = resolved{mach: mach, op: op, alg: alg, algs: algs}
-	s.triplesMu.Lock()
-	if s.triples == nil {
-		s.triples = make(map[tripleKey]resolved)
-	}
-	s.triples[k] = rs
-	s.triplesMu.Unlock()
-	return rs, nil
+	scr.tris = append(scr.tris, reqTriple{ev: ev})
+	return int32(len(scr.tris) - 1), nil
+}
+
+// bindScenario installs one scenario of request triple ti into rs.
+func (s *Server) bindScenario(scr *scratch, ti int32, p, m int, rs *resolved) error {
+	*rs = resolved{ev: scr.tris[ti].ev, tri: ti}
+	return s.checkPM(rs, p, m)
 }
 
 // checkPM validates and installs one scenario's (p, m) coordinates on a
@@ -931,10 +910,10 @@ func (s *Server) checkPM(rs *resolved, p, m int) error {
 	if p < 2 {
 		return fmt.Errorf("p=%d: a collective needs at least 2 nodes", p)
 	}
-	if p > rs.mach.MaxNodes() {
-		return fmt.Errorf("p=%d exceeds the %s's %d nodes", p, rs.mach.Name(), rs.mach.MaxNodes())
+	if p > rs.ev.Machine().MaxNodes() {
+		return fmt.Errorf("p=%d exceeds the %s's %d nodes", p, rs.ev.Machine().Name(), rs.ev.Machine().MaxNodes())
 	}
-	if rs.op == machine.OpBarrier {
+	if rs.ev.Op() == machine.OpBarrier {
 		m = 0
 	}
 	if m < 0 {
@@ -947,10 +926,6 @@ func (s *Server) checkPM(rs *resolved, p, m int) error {
 	return nil
 }
 
-// sweepDefaultAlg mirrors sweep.DefaultAlgorithm without importing the
-// sweep engine into the serving layer.
-const sweepDefaultAlg = "default"
-
 // reasonDegraded marks an answer served closed-form because the
 // request's deadline expired before the exact simulator could finish.
 // Degraded answers carry no bounds and never reach the answer cache,
@@ -958,10 +933,15 @@ const sweepDefaultAlg = "default"
 const reasonDegraded = "degraded_deadline"
 
 // answerSafe is answer with backend panics converted to errors (see
-// recoverBackend).
-func (s *Server) answerSafe(ctx context.Context, entry *estimate.Entry, rs resolved, wt *workerTimer) (a Answer, cache uint8, err error) {
+// recoverBackend). A failed scenario leaves a zero answer in *a.
+func (s *Server) answerSafe(ctx context.Context, entry *estimate.Entry, rs *resolved, a *Answer, slot *Bound, wt *workerTimer) (cache uint8, err error) {
+	defer func() {
+		if err != nil {
+			*a = Answer{}
+		}
+	}()
 	defer recoverBackend(&err)
-	return s.answer(ctx, entry, rs, wt)
+	return s.answer(ctx, entry, rs, a, slot, wt)
 }
 
 // answer serves one resolved scenario from the entry — or, flagged,
@@ -971,43 +951,50 @@ func (s *Server) answerSafe(ctx context.Context, entry *estimate.Entry, rs resol
 // the one a shared cache flight ran under — degrades to the paper's
 // closed-form expressions when they cover the scenario (an instant
 // answer flagged "degraded_deadline", no bounds) and errors otherwise.
-// Estimate and bound-attach time is charged to the worker's timer; the
-// second result is the scenario's answer-cache verdict.
-func (s *Server) answer(ctx context.Context, entry *estimate.Entry, rs resolved, wt *workerTimer) (Answer, uint8, error) {
-	echo := Scenario{Machine: rs.mach.Name(), Op: string(rs.op), Algorithm: rs.alg, P: rs.p, M: rs.m}
+// A closed-form answer is one Predict through the triple's evaluator
+// handle; only backends without a closed form (a simulator, a wrapped
+// backend) go through Backend.Estimate. Estimate and bound-attach time
+// is charged to the worker's timer. The answer is written into *a (and
+// its bound into slot), both request scratch, so nothing is copied or
+// allocated per scenario; the result is the answer-cache verdict.
+func (s *Server) answer(ctx context.Context, entry *estimate.Entry, rs *resolved, a *Answer, slot *Bound, wt *workerTimer) (uint8, error) {
+	echo := Scenario{Machine: rs.ev.Machine().Name(), Op: string(rs.ev.Op()), Algorithm: rs.ev.Alg(), P: rs.p, M: rs.m}
 	e0 := wt.start()
 	var r simResult
 	cache := cacheNone
 	var err error
 	if rs.fallback {
-		r, cache, err = s.simulate(ctx, rs)
+		r, cache, err = s.simulate(ctx, *rs)
+	} else if expr := rs.ev.Expression(); expr != nil {
+		r = simResult{micros: expr.Predict(rs.m, rs.p), backend: rs.ev.Backend()}
 	} else {
 		var est estimate.Estimate
-		est, err = entry.Backend.Estimate(ctx, rs.mach, rs.op, rs.algs, rs.p, rs.m, s.config())
+		est, err = entry.Backend.Estimate(ctx, rs.ev.Machine(), rs.ev.Op(), rs.ev.Algorithms(), rs.p, rs.m, s.config())
 		r = simResult{micros: est.Sample.Micros, backend: est.Backend}
 	}
 	e1 := wt.estimateDone(e0)
 	if err != nil {
 		if ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
-			if a, ok := s.degradedAnswer(echo, rs); ok {
-				return a, cache, nil
+			if da, ok := s.degradedAnswer(echo, *rs); ok {
+				*a = da
+				return cache, nil
 			}
 		}
 		if ctx.Err() != nil {
 			// Make sure the timeout wins the errors.Is dispatch even if
 			// the backend returned a bare injected error after ctx fired.
-			return Answer{}, cache, fmt.Errorf("%w (%v)", ctx.Err(), err)
+			return cache, fmt.Errorf("%w (%v)", ctx.Err(), err)
 		}
-		return Answer{}, cache, err
+		return cache, err
 	}
-	a := Answer{Scenario: echo, Micros: r.micros, Backend: r.backend}
+	*a = Answer{Scenario: echo, Micros: r.micros, Backend: r.backend}
 	if rs.fallback {
 		a.Fallback, a.FallbackReason = true, rs.fallbackReason
-		return a, cache, nil
+		return cache, nil
 	}
-	attachBound(entry, rs, &a)
+	attachBound(rs, a, slot)
 	wt.boundsDone(e1)
-	return a, cache, nil
+	return cache, nil
 }
 
 // degradedAnswer answers a deadline-pressed scenario from the paper's
@@ -1019,10 +1006,10 @@ func (s *Server) answer(ctx context.Context, entry *estimate.Entry, rs resolved,
 // surfaces the timeout.
 func (s *Server) degradedAnswer(echo Scenario, rs resolved) (Answer, bool) {
 	da := s.degradedBackend()
-	if !da.Covers(rs.mach.Name(), rs.op) {
+	if !da.Covers(rs.ev.Machine().Name(), rs.ev.Op()) {
 		return Answer{}, false
 	}
-	est, err := da.Estimate(context.Background(), rs.mach, rs.op, rs.algs, rs.p, rs.m, s.config())
+	est, err := da.Estimate(context.Background(), rs.ev.Machine(), rs.ev.Op(), rs.ev.Algorithms(), rs.p, rs.m, s.config())
 	if err != nil {
 		return Answer{}, false // Analytic never errors; belt and braces
 	}
@@ -1033,35 +1020,36 @@ func (s *Server) degradedAnswer(echo Scenario, rs resolved) (Answer, bool) {
 }
 
 // attachBound annotates a closed-form answer with its validated
-// expected-error bound, when the entry carries one.
-func attachBound(entry *estimate.Entry, rs resolved, a *Answer) {
+// expected-error bound, looked up in the triple's row of the entry's
+// error table, when the entry carries one. The bound is written into
+// slot (request scratch), so annotating allocates nothing.
+func attachBound(rs *resolved, a *Answer, slot *Bound) {
+	row := rs.ev.Bounds()
+	if len(row) == 0 {
+		return
+	}
 	// Piecewise fits answer from one protocol segment; the expected
 	// error must come from validated lengths of that same segment, and
 	// the answer says which segment served it. Affine entries skip the
-	// per-answer expression lookup entirely — it is hot-path work that
-	// could only rediscover there are no segments.
-	if cal, isCal := entry.Backend.(*estimate.Calibrated); isCal && cal.Fit.Piecewise {
-		if seg, isSeg := cal.Expression(rs.mach, rs.op, rs.alg).SegmentFor(rs.m); isSeg {
-			if cell, ok := entry.Bounds.BoundIn(rs.mach.Name(), rs.op, rs.m, seg.MMin, seg.MMax); ok {
-				a.ExpectedError = &Bound{
-					RelMedian: cell.Median, RelMax: cell.Max,
-					BasisM: cell.M, Points: cell.Points,
-				}
+	// segment lookup entirely.
+	if rs.ev.Segmented() {
+		if seg, isSeg := rs.ev.Expression().SegmentFor(rs.m); isSeg {
+			if cell, ok := row.BoundIn(rs.m, seg.MMin, seg.MMax); ok {
+				*slot = Bound{RelMedian: cell.Median, RelMax: cell.Max, BasisM: cell.M, Points: cell.Points}
 				// BoundIn falls back to a cross-regime neighbor when the
 				// validation grid has no cell inside the segment; only an
 				// in-segment basis may claim the segment-scoped contract.
 				if cell.M >= seg.MMin && cell.M <= seg.MMax {
-					a.ExpectedError.SegmentMMin, a.ExpectedError.SegmentMMax = seg.MMin, seg.MMax
+					slot.SegmentMMin, slot.SegmentMMax = seg.MMin, seg.MMax
 				}
+				a.ExpectedError = slot
 			}
 			return
 		}
 	}
-	if cell, ok := entry.Bounds.Bound(rs.mach.Name(), rs.op, rs.m); ok {
-		a.ExpectedError = &Bound{
-			RelMedian: cell.Median, RelMax: cell.Max,
-			BasisM: cell.M, Points: cell.Points,
-		}
+	if cell, ok := row.Bound(rs.m); ok {
+		*slot = Bound{RelMedian: cell.Median, RelMax: cell.Max, BasisM: cell.M, Points: cell.Points}
+		a.ExpectedError = slot
 	}
 }
 
@@ -1069,37 +1057,29 @@ func attachBound(entry *estimate.Entry, rs resolved, a *Answer) {
 // simulator: outside the entry's calibrated envelope, a pair the
 // envelope function disowns, or — whatever the envelope says — a fixed
 // expression set that cannot answer the pair honestly, either because
-// it has no fit at all (evaluating one would panic deep inside the
-// model) or because it only models vendor-default algorithms and the
-// request names another variant. The kind is fbNone when the entry
-// answers in closed form.
-func fallbackReason(entry *estimate.Entry, rs resolved) (string, fallbackKind) {
-	if a, ok := entry.Backend.(*estimate.Analytic); ok {
-		if !a.Covers(rs.mach.Name(), rs.op) {
-			return uncoveredReason(entry, rs), fbUncovered
-		}
-		// Fixed sets model the vendor-default algorithms only; naming
-		// the default variant explicitly is fine, any other variant is
-		// a question the set cannot answer.
-		if rs.alg != sweepDefaultAlg && rs.alg != mpi.DefaultAlgorithms(rs.mach).Get(rs.op) {
-			return fmt.Sprintf("the %s expression set models vendor-default algorithms only, not %s[%s]; answered by the exact simulator",
-				entry.Name, rs.op, rs.alg), fbVariant
-		}
-	}
-	in, rng := entry.Covers(rs.mach, rs.op, rs.p, rs.m)
-	if in {
+// it has no fit at all or because it only models vendor-default
+// algorithms and the request names another variant. The triple's
+// handle settled all but the envelope test; the kind is fbNone when the
+// entry answers in closed form.
+func fallbackReason(entry *estimate.Entry, rs *resolved) (string, fallbackKind) {
+	if rs.ev.Covers(rs.p, rs.m) {
 		return "", fbNone
 	}
-	if rng == (estimate.Range{}) {
+	switch rs.ev.Coverage() {
+	case estimate.Uncovered:
 		return uncoveredReason(entry, rs), fbUncovered
+	case estimate.VendorOnly:
+		return fmt.Sprintf("the %s expression set models vendor-default algorithms only, not %s[%s]; answered by the exact simulator",
+			entry.Name, rs.ev.Op(), rs.ev.Alg()), fbVariant
 	}
+	rng, _ := rs.ev.Range()
 	return fmt.Sprintf("p=%d m=%d is outside the calibrated range %s; answered by the exact simulator",
 		rs.p, rs.m, rng), fbOutOfRange
 }
 
-func uncoveredReason(entry *estimate.Entry, rs resolved) string {
+func uncoveredReason(entry *estimate.Entry, rs *resolved) string {
 	return fmt.Sprintf("%s/%s has no %s expression; answered by the exact simulator",
-		rs.mach.Name(), rs.op, entry.Name)
+		rs.ev.Machine().Name(), rs.ev.Op(), entry.Name)
 }
 
 // handleRegistry answers GET /v1/registry.
@@ -1121,11 +1101,15 @@ func (s *Server) handleRegistry(w http.ResponseWriter, _ *http.Request) {
 	WriteJSON(w, http.StatusOK, resp)
 }
 
-// fanOut runs indices 0..n-1 across a bounded worker pool — the
-// calibration-pool pattern (jobs channel, WaitGroup), sized like
-// Precalibrate. setup runs once per worker and returns the worker's
-// per-index fn plus a done hook that runs after its share of the batch
-// (worker-local state, e.g. timing accumulators, flushes there).
+// fanOut runs indices 0..n-1 across a bounded worker pool, the
+// calling goroutine included. Workers claim contiguous chunks of about
+// an eighth of their fair share with one atomic add each, so a
+// closed-form batch pays a handful of atomics instead of one channel
+// operation per scenario, and a slow scenario (a fallback simulation)
+// still leaves the rest of the batch to the other workers. setup runs
+// once per worker and returns the worker's per-index fn plus a done
+// hook that runs after its share of the batch (worker-local state,
+// e.g. timing accumulators, flushes there).
 func fanOut(workers, n int, setup func() (fn func(i int), done func())) {
 	if workers > n {
 		workers = n
@@ -1138,23 +1122,31 @@ func fanOut(workers, n int, setup func() (fn func(i int), done func())) {
 		done()
 		return
 	}
-	jobs := make(chan int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn, done := setup()
-			for i := range jobs {
+	chunk := max(1, n/(8*workers))
+	var next atomic.Int64
+	run := func() {
+		fn, done := setup()
+		for {
+			hi := int(next.Add(int64(chunk)))
+			lo := hi - chunk
+			if lo >= n {
+				break
+			}
+			for i := lo; i < min(hi, n); i++ {
 				fn(i)
 			}
-			done()
+		}
+		done()
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			run()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
+	run()
 	wg.Wait()
 }
 

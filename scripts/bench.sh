@@ -25,6 +25,11 @@ out+=$'\n'
 # fits stay within 10% of affine throughput.
 out+=$(go test -run '^$' -bench 'BenchmarkPiecewiseServing' .)
 out+=$'\n'
+# Warm Calibrated.Estimate from parallel goroutines at 1 and 2 cores:
+# the read path takes no lock, so 2-core ns/op should come in below
+# 1-core. Tracked, not gated.
+out+=$(go test -run '^$' -bench 'BenchmarkPiecewiseServing/affine-warm-parallel' -cpu 1,2 .)
+out+=$'\n'
 # HTTP serving throughput: plain, instrumented (-obs), and instrumented
 # with sampled tracing (-trace). Three full invocations: within each, a
 # variant and its twins run seconds apart, so their ratios cancel the
@@ -39,14 +44,21 @@ out+=$serve_out
 
 # Fast wire mode through a real socket: the binary codec single and
 # batched, cold and hot answer cache, plus the same-run JSON batch as
-# the comparator.
-wire_out=$(go test -run '^$' -bench 'BenchmarkServeWire' ./internal/serve)
+# the comparator. Three full invocations, paired like the serving runs
+# above: each binary batch788 row is judged against the JSON batch788
+# row of its own invocation.
+wire_out=""
+for _ in 1 2 3; do
+	wire_out+=$(go test -run '^$' -bench 'BenchmarkServeWire' ./internal/serve)
+	wire_out+=$'\n'
+done
 out+=$wire_out
-out+=$'\n'
 
 # Gate: the binary batched hot-cache path must either clear 1M
 # scenarios/s through the socket or beat the same-run JSON batch 5×.
-# The headline this gates on is printed either way.
+# Verdict is the BEST of the three paired runs, as for the overhead
+# gates below: a genuine regression depresses every pair, host-load
+# noise only some. The headline is the best pair, printed either way.
 BENCH_WIRE="$wire_out" python3 - <<'EOF'
 import os, re, sys
 
@@ -58,19 +70,20 @@ for line in os.environ["BENCH_WIRE"].splitlines():
     rate = re.search(r"([\d.]+) scenarios/s", line)
     if not rate:
         sys.exit(f"bench: no scenarios/s in line: {line}")
-    rates[m.group(1)] = float(rate.group(1))
+    rates.setdefault(m.group(1), []).append(float(rate.group(1)))
 
-try:
-    hot = rates["binary-batch788-hot"]
-    json_cold = rates["json-batch788-cold"]
-except KeyError as missing:
-    sys.exit(f"bench: missing serve-wire variant {missing}")
-ratio = hot / json_cold
-verdict = "ok" if hot >= 1e6 or ratio >= 5.0 else "FAIL"
+hots, jsons = rates.get("binary-batch788-hot", []), rates.get("json-batch788-cold", [])
+if not hots or len(hots) != len(jsons):
+    counts = {k: len(v) for k, v in rates.items()}
+    sys.exit(f"bench: unpaired serve-wire variants {counts}")
+pairs = [(hot, hot / js) for hot, js in zip(hots, jsons)]
+hot, ratio = max(pairs, key=lambda p: p[1])
+verdict = "ok" if any(h >= 1e6 or r >= 5.0 for h, r in pairs) else "FAIL"
+shown = ", ".join(f"{r:.1f}x" for _, r in pairs)
 print(f"bench: wire headline: binary batch788 hot {hot:,.0f} scenarios/s "
-      f"({ratio:.1f}x same-run JSON batch788) {verdict}", file=sys.stderr)
+      f"({ratio:.1f}x same-run JSON batch788; paired ratios [{shown}]) {verdict}", file=sys.stderr)
 if verdict == "FAIL":
-    sys.exit("bench: fast wire mode fell below 1M scenarios/s and below 5x the JSON path")
+    sys.exit("bench: fast wire mode fell below 1M scenarios/s and below 5x the JSON path in every paired run")
 EOF
 
 # Gate: metrics-enabled (-obs) and sampled-tracing (-trace) serving
